@@ -100,6 +100,33 @@ std::size_t successor_range_scan(S& set, Key lo, Key hi, std::size_t limit,
   return n;
 }
 
+/// The retry discipline every validated scan shares. `attempt(n)` makes
+/// one walk, appending its keys to `out` and its count to `n`, and says
+/// whether the walk validated. A failed walk is discarded and retried;
+/// after `max_retries` discards the last walk is kept — exactly a
+/// per-step scan under the weak contract, just honestly flagged.
+template <class Attempt>
+ScanResult retry_validated_scan(std::vector<Key>& out, uint32_t max_retries,
+                                Attempt&& attempt) {
+  const std::size_t base = out.size();
+  ScanResult r;
+  for (;;) {
+    r.n = 0;
+    if (attempt(r.n)) {
+      r.atomic = true;
+      Stats::count_scan_atomic();
+      return r;
+    }
+    if (r.retries >= max_retries) {
+      Stats::count_scan_fallback();
+      return r;
+    }
+    out.resize(base);
+    ++r.retries;
+    Stats::count_scan_retry();
+  }
+}
+
 /// The single-epoch validated scan: the successor walk above bracketed by
 /// reads of one monotone update-epoch counter (`epoch` is any callable
 /// returning it). An unchanged epoch across the walk means no update that
@@ -113,26 +140,11 @@ template <SuccessorQueryable S, class EpochFn>
 ScanResult epoch_validated_scan(S& set, EpochFn&& epoch, Key lo, Key hi,
                                 std::size_t limit, std::vector<Key>& out,
                                 uint32_t max_retries = kDefaultScanRetries) {
-  const std::size_t base = out.size();
-  ScanResult r;
-  for (;;) {
+  return retry_validated_scan(out, max_retries, [&](std::size_t& n) {
     const uint64_t e0 = epoch();
-    r.n = successor_range_scan(set, lo, hi, limit, out);
-    if (epoch() == e0) {
-      r.atomic = true;
-      Stats::count_scan_atomic();
-      return r;
-    }
-    if (r.retries >= max_retries) {
-      // Keep the last walk: it is exactly a per-step scan under the weak
-      // contract, just honestly flagged.
-      Stats::count_scan_fallback();
-      return r;
-    }
-    out.resize(base);
-    ++r.retries;
-    Stats::count_scan_retry();
-  }
+    n = successor_range_scan(set, lo, hi, limit, out);
+    return epoch() == e0;
+  });
 }
 
 /// Convenience wrapper returning a fresh vector (examples, tests).

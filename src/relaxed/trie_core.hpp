@@ -267,29 +267,28 @@ class TrieCore {
   NodeArena& arena() noexcept { return *arena_; }
 
   /// Destruction-time drain (owner's destructor, trie quiescent by
-  /// contract): force-release every pooled update node still resident in
-  /// the latest lists or dNodePtr slots, so trie create/destroy churn
-  /// reaches a steady state instead of growing the pools by each dead
-  /// trie's resident set. A node may sit in several slots at once (one
-  /// latest list + many dNodePtr levels); the state-word CAS inside
-  /// force_release dedups the hand-back. Arena nodes (dummies) are
-  /// skipped — the arena retires their chunks wholesale.
+  /// contract): retire every pooled update node still resident in the
+  /// latest lists and drop each dNodePtr slot's residency pin, so trie
+  /// create/destroy churn reaches a steady state instead of growing the
+  /// pools by each dead trie's resident set. A node is released only
+  /// when its last pin drops. Notify nodes of query announcements whose
+  /// EBR drain is still queued on some thread's limbo list hold pins that
+  /// the drain drops later — possibly after this trie is gone — so
+  /// releasing a pinned node here would let that late unpin hit a
+  /// recycled node. Arena nodes (dummies) are not pooled and stay put.
   void drain_resident_for_destruction() {
-    auto hand_back = [](UpdateNode* u) {
-      if (u != nullptr && u->pooled() && u->force_release()) {
-        release_update_to_pool(u);
-      }
-    };
     for (uint64_t x = 0; x < static_cast<uint64_t>(u_); ++x) {
       UpdateNode* u = latest_[x].load(std::memory_order_relaxed);
       while (u != nullptr) {
         UpdateNode* next = u->latest_next.load(std::memory_order_relaxed);
-        hand_back(u);
+        if (u->pooled()) retire_update(u);
         u = next;
       }
     }
     for (uint64_t t = 1; t < leaf_base_; ++t) {
-      hand_back(dnodeptr_[t].load(std::memory_order_relaxed));
+      if (DelNode* d = dnodeptr_[t].load(std::memory_order_relaxed)) {
+        unpin_update(d);
+      }
     }
   }
 

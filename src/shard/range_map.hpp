@@ -1,36 +1,18 @@
-// Versioned range-map routing for ShardedTrie's online resharding.
-//
-// The fixed-width partitioning of PR 1 becomes a table of contiguous
-// ranges, each backed by an independent LockFreeBinaryTrie shard. The
-// table is an immutable snapshot: the control plane builds a new one for
-// every split/merge completion, publishes it with a single pointer store
-// and retires the old snapshot through EBR, so data-plane operations
-// (which read the table under an ebr::Guard) never see a torn map and
-// never need a lock. A shard that is mid-migration carries a SplitCtl
-// describing the moving range; routing consults it after the table.
-//
-// Migration state machine (one atomic word per SplitCtl):
-//
-//   [63:48] owner seq | [47] copy flag | [46:0] global watermark
-//
-//   - watermark w: keys in [move_lo, w) have been moved to dst; keys in
-//     [w, move_hi) are still authoritative in src.
-//   - copy flag: the owner is copying the window [w, w + kBatch). The
-//     owner announced the window with a CAS and then waited one EBR
-//     grace period, so every client operation routed before the
-//     announce has finished: during the copy the owner is the ONLY
-//     writer of window keys. Client updates that route into the window
-//     drop their guard and back off (spinning inside the guard would
-//     block the owner's grace wait forever); client reads never block —
-//     they read the src/dst union, which the exclusivity makes exact.
-//   - owner seq: every transition CASes the whole word, so a takeover
-//     (seq bump + one grace wait) invalidates the previous owner's next
-//     per-key step — each key move runs under a fresh Guard that
-//     re-checks the seq, and moves are idempotent, so an interrupted
-//     owner leaves at most one half-moved key for the successor to
-//     redo. See docs/DESIGN.md "Dynamic resharding" for the proofs.
+// Versioned range-map routing for ShardedTrie's online resharding: an
+// immutable RangeTable snapshot of contiguous ranges, each backed by an
+// independent LockFreeBinaryTrie Shard. The control plane publishes a
+// new table per split/merge with one pointer store and retires the old
+// one through EBR, so data-plane operations (which read the table under
+// an ebr::Guard) never see a torn map and never lock. A shard that is
+// mid-migration carries a SplitCtl whose one atomic word, written only
+// by the migrator, is [63] copy flag | [62:0] global watermark: keys in
+// [move_lo, watermark) have moved to dst, the rest are still in src, and
+// while the copy flag is up the window [watermark, watermark + kBatch)
+// belongs to the migrator alone. See docs/DESIGN.md "Dynamic
+// resharding" for the protocol and its proofs.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -41,23 +23,14 @@
 
 namespace lfbt::reshard {
 
-inline constexpr int kSeqShift = 48;
-inline constexpr uint64_t kCopyBit = uint64_t{1} << 47;
-inline constexpr uint64_t kWatermarkMask = kCopyBit - 1;
-/// Watermarks are global keys packed into 47 bits; ShardedTrie asserts
-/// its universe fits at construction.
-inline constexpr Key kMaxUniverse = Key{1} << 46;
+inline constexpr uint64_t kCopyBit = uint64_t{1} << 63;
 
-inline constexpr uint64_t pack_mig(uint32_t seq, bool copy, Key watermark) {
-  return (uint64_t{seq} << kSeqShift) | (copy ? kCopyBit : 0) |
-         (static_cast<uint64_t>(watermark) & kWatermarkMask);
-}
-inline constexpr uint32_t mig_seq(uint64_t w) {
-  return static_cast<uint32_t>(w >> kSeqShift);
+inline constexpr uint64_t pack_mig(bool copy, Key watermark) {
+  return (copy ? kCopyBit : 0) | static_cast<uint64_t>(watermark);
 }
 inline constexpr bool mig_copy(uint64_t w) { return (w & kCopyBit) != 0; }
 inline constexpr Key mig_watermark(uint64_t w) {
-  return static_cast<Key>(w & kWatermarkMask);
+  return static_cast<Key>(w & ~kCopyBit);
 }
 
 struct SplitCtl;
@@ -79,20 +52,16 @@ struct alignas(kCacheLine) Shard {
   /// Bumped after every client erase routed here: the erase half of the
   /// load observer, and the staleness check for union pair-reads.
   PaddedAtomic<uint64_t> del_epoch;
-  /// Migration draining keys OUT of this shard, or nullptr. A published
-  /// ctl may stay installed (its moved range no longer intersects any
-  /// entry routed here, so routing skips it); it is retired when a new
-  /// migration replaces it or when the shard is destroyed.
+  /// The migration draining keys OUT of this shard, or nullptr. Cleared
+  /// (and the ctl retired) one grace period after the migration's table
+  /// is published, before the next migration may start.
   std::atomic<SplitCtl*> ctl{nullptr};
-
-  // Control-plane fields, touched only under ShardedTrie's ctl mutex.
-  bool busy = false;       // src or dst of an in-flight migration
-  uint64_t load_snap = 0;  // maybe_split's last observed load
+  /// maybe_split's last observed load (under ShardedTrie's ctl mutex).
+  uint64_t load_snap = 0;
 
   Shard(Key base_key, Key local_universe)
       : trie(std::make_unique<LockFreeBinaryTrie>(local_universe)),
         base(base_key) {}
-  ~Shard();
 
   uint64_t load() const {
     return ins_epoch.value.load() + del_epoch.value.load();
@@ -101,13 +70,9 @@ struct alignas(kCacheLine) Shard {
 
 /// One migration: drain global keys [move_lo, move_hi) from src into dst.
 /// For a split, dst is a fresh shard that takes over the top half of
-/// src's range at completion; for a merge, dst is the left neighbour and
-/// src (the right entry's shard) is retired at completion; for a replace
-/// (merge's rebuild step), dst is a fresh, wider shard that takes over
-/// src's WHOLE entry at completion and src is retired like a merge
-/// victim. The data plane never branches on the kind: a replace routes
-/// exactly like a split whose moved range happens to start at the
-/// entry's lower bound.
+/// src's range at publication; for a merge, dst is the left neighbour
+/// (whose trie already spans both ranges) and src, the right entry's
+/// shard, is retired.
 struct SplitCtl {
   static constexpr Key kBatch = 64;
 
@@ -116,34 +81,8 @@ struct SplitCtl {
   Shard* const src;
   Shard* const dst;
   const bool merge;
-  const bool replace;
-  std::atomic<uint64_t> word;
-  /// Set (under the control mutex) once the new routing table is live.
-  std::atomic<bool> published{false};
-
-  // Control-plane lifetime fields, touched only under ShardedTrie's ctl
-  // mutex: `owners` counts split()/merge() callers currently driving or
-  // joined to this migration (they hold the pointer outside any guard,
-  // so the ctl must not be freed until the last of them releases it);
-  // `replaced` marks a published ctl that a newer migration displaced
-  // while owners were still attached — the last release retires it.
-  int owners = 0;
-  bool replaced = false;
-
-  SplitCtl(Key lo, Key hi, Shard* s, Shard* d, bool is_merge,
-           bool is_replace = false)
-      : move_lo(lo),
-        move_hi(hi),
-        src(s),
-        dst(d),
-        merge(is_merge),
-        replace(is_replace),
-        word(pack_mig(0, false, lo)) {
-    assert(!(is_merge && is_replace));
-  }
+  std::atomic<uint64_t> word{0};  // set to (false, move_lo) at install
 };
-
-inline Shard::~Shard() { delete ctl.load(std::memory_order_relaxed); }
 
 /// Immutable routing snapshot: n contiguous ranges [lo[i], lo[i+1])
 /// with lo[n] == universe. The construction-time table keeps the O(1)
@@ -159,16 +98,7 @@ struct RangeTable {
   int find(Key x) const {
     assert(x >= 0 && x < lo[n]);
     if (fixed_width > 0) return static_cast<int>(x / fixed_width);
-    int a = 0, b = n - 1;
-    while (a < b) {
-      const int m = (a + b + 1) / 2;
-      if (lo[m] <= x) {
-        a = m;
-      } else {
-        b = m - 1;
-      }
-    }
-    return a;
+    return static_cast<int>(std::upper_bound(lo + 1, lo + n, x) - lo) - 1;
   }
 };
 

@@ -2,134 +2,50 @@
 // trie, with ONLINE RESHARDING. The universe U = {0..u-1} is split into
 // contiguous ranges, each backed by a fully independent
 // LockFreeBinaryTrie — its own NodeArena, its own U-ALL/RU-ALL/SU-ALL/
-// P-ALL announcement lists — so shards share no contended cache lines.
-// All the contention that funnels through one instance's latest-list
-// CASes and announcement traffic is divided across the ranges, and each
-// shard's O(log u) update paths shrink to O(log width).
+// P-ALL announcement lists — so shards share no contended cache lines
+// and each shard's O(log u) update paths shrink to O(log width).
 //
-// Construction partitions U into S fixed-width ranges exactly as before,
-// but the geometry is no longer frozen: a hot range can be split while
-// readers and writers run (split()/maybe_split()), and a split-derived
-// pair can be merged back (merge()). Routing is a versioned range map
-// (shard/range_map.hpp): an immutable table snapshot published by
-// pointer store and retired through EBR, consulted under an ebr::Guard
-// by every operation. The data plane stays lock-free; the control plane
-// (split/merge/table republish) serializes on a mutex and may block in
-// EBR grace waits — an honest division: geometry changes are rare and
-// never on the op path.
+// Construction partitions U into S fixed-width ranges. A hot range can
+// be split while readers and writers run (split()/maybe_split()), and
+// the two halves of a split can be merged back (merge()). Routing is a
+// versioned range map (shard/range_map.hpp): an immutable table
+// snapshot published by pointer store and retired through EBR, consulted
+// under an ebr::Guard by every operation. The data plane stays
+// lock-free; the control plane runs one reshard at a time under a mutex
+// and blocks in EBR grace waits — geometry changes are rare and never on
+// the op path.
 //
-// ---------------------------------------------------------------------
-// Linearizability: single-range operations
-// ---------------------------------------------------------------------
-// With a quiescent geometry, contains/insert/erase touch exactly one
-// shard and inherit the inner operation's linearization point; since
-// ranges own disjoint keys, these histories compose by locality
-// (Herlihy & Wing). While a migration drains range [move_lo, move_hi)
-// from src to dst (SplitCtl), a key's authority is decided by the
-// migration word: keys below the watermark live in dst, keys at or
-// above it in src, and the ≤ kBatch keys of an announced copy window
-// are EXCLUSIVELY the migrator's — the announce-CAS is followed by one
-// EBR grace wait, and every client op holds its guard from routing
-// decision to trie return, so every op routed before the announce has
-// finished before the copy starts. Client updates that hit the window
-// drop their guard, back off and re-route (the window settles after at
-// most one batch copy; a takeover unwedges an abandoned owner), so an
-// update's linearization point is its inner trie op in whichever trie
-// the final attempt routed to. Client reads never block: a contains
-// inside the window reads src then dst — exact, because during the
-// window only the migrator writes those keys, and it inserts into dst
-// BEFORE erasing from src, so a key present throughout is seen by one
-// of the two probes.
-//
-// ---------------------------------------------------------------------
-// Linearizability: cross-range predecessor/successor
-// ---------------------------------------------------------------------
-// predecessor(y) walks ranges downward from the owner of y-1. For each
-// range it first records the backing shard's insert epoch (a counter
-// the insert wrapper bumps *after* the inner insert returns), then
-// makes one per-range observation; the first range to produce a key
-// gives the candidate answer and the operation linearizes at that
-// observation. Afterwards the scan re-reads the insert epochs of every
-// range above the answer and retries from scratch if any moved: "no
-// key < y there" can only be invalidated by an insert, and an insert
-// that completes bumps the epoch first, so an unchanged epoch pins the
-// observation (an insert still in flight at validation time is
-// concurrent and legitimately ordered after the query). Erases only
-// remove keys and can never invalidate a no-key observation. A retry
-// happens only when some insert completed — system-wide progress — so
-// the walk is lock-free.
-//
-// A range without an intersecting migration observes its single trie:
-// one linearizable inner predecessor (or the conservative O(1)
-// empty-skip of LockFreeBinaryTrie::size(), a true "empty now"
-// observation). A range WITH one observes the src∪dst union, reading
-// src first and then dst, each probe clamped to the routed range (after
-// merges a trie's universe can exceed its routed width):
-//   - A union observation that yields NO key is exact at the dst read:
-//     dst is exact there, and src had no key earlier and gained none
-//     (insert epochs are re-checked; migration moves keys out of src
-//     only... for a merge, INTO the left trie, which is probed second —
-//     move order again).
-//   - A union observation that yields a CANDIDATE re-reads both shards'
-//     insert AND delete epochs (the erase wrapper bumps del_epoch) and
-//     retries the pair-read if any moved. Unchanged epochs mean no
-//     client update touched the range between the two probes; migration
-//     moves preserve the union; so the union was STATIC across the
-//     pair-read and the max/min of two exact probes of a static set is
-//     exact. (Without the delete check the pair-read is genuinely
-//     unsound: src={5}, dst={7}, y=10 — read src→5, erase 5, erase 7,
-//     read dst→none, answer 5, which was never the predecessor.)
-// Both epoch counters sit next to each other on the shard and cost one
-// fetch_add per update, which is also exactly the per-range load
-// observer maybe_split() consumes.
-//
-// Why a migration cannot START unobserved mid-walk: the whole attempt
-// (all observations + validation) runs under ONE ebr::Guard. A ctl seen
-// as null at observation time means any later-installed migration's
-// first grace wait is blocked behind this guard — no key moves, and no
-// insert can route to an unrecorded dst, until the attempt ends. A ctl
-// seen as non-null contributes BOTH shards' epochs to the validation
-// set. Table republish mid-attempt is equally benign: the old snapshot
-// (alive under the guard) routes every key of its entries to shards
-// whose union views remain exact, because a published ctl stays
-// installed on its source shard until replaced, and completions wait
-// one grace period before the control plane may touch the geometry
-// again (so a guard can overlap at most ONE republish per shard).
-//
-// successor(y) is the exact mirror: upward walk, min instead of max,
-// same epoch discipline.
-//
-// range_scan is built from the same two ingredients, upgraded to a
-// whole-scan validation (range_scan_validated): before probing an entry
-// the walk records the backing shard's insert AND delete epochs (plus
-// the migration dst's pair when a ctl intersects — the union pair-read
-// rule again), merge-walking union ranges with cursor-advance dedup as
-// before; after the last probe it re-reads every recorded pair. All
-// unchanged => no update that overlapped the walk has returned, every
-// such update is pairwise concurrent with the scan, and a linearization
-// placing the scan at one state matching the report exists — the scan
-// is atomic (ScanResult::atomic). Any moved epoch discards the walk and
-// retries (bounded), finally keeping one per-step walk under the weak
-// contract of query/range_scan.hpp, flagged non-atomic. Both epoch
-// directions are required for scans just as for pair-reads (an erase
-// behind the cursor un-reports a key the scan claimed); migration moves
-// bump neither epoch and preserve the union, so an in-flight split or
-// merge never forces a retry by itself. Entries skipped by the O(1)
-// empty-shard check still contribute their epoch pair — a key inserted
-// there behind the skip must fail validation. Full argument in
-// docs/DESIGN.md "Atomic scans".
-//
-// The migration protocol itself — copy-window exclusivity, idempotent
-// per-key moves, seq-CAS takeover/abort, and why the rejected
-// copy-then-redo designs resurrect erased keys — is documented in
-// docs/DESIGN.md "Dynamic resharding".
+// Linearizability, in brief (full arguments: docs/DESIGN.md "Dynamic
+// resharding" and "Atomic scans"):
+//   - contains/insert/erase touch one shard and inherit the inner op's
+//     linearization point; ranges own disjoint keys, so histories
+//     compose by locality. Mid-migration, the migration word routes a
+//     key to src or dst by the watermark; the ≤ kBatch keys of an
+//     announced copy window belong to the migrator alone (announce, then
+//     one grace wait), so updates there back off and re-route, and
+//     contains reads src then dst — exact, because a move inserts into
+//     dst before it erases from src.
+//   - predecessor/successor walk ranges away from y, record each range's
+//     insert epoch (bumped after the inner insert returns), linearize at
+//     the first range that yields a key, and retry if any range passed
+//     over saw a completed insert. A mid-migration range is read as the
+//     src∪dst union, src first, retried until both shards' insert AND
+//     delete epochs are unchanged across the pair-read.
+//   - range_scan_validated records every touched entry's (ins, del)
+//     epoch pairs (both shards of a migrating one) before probing it and
+//     re-reads them all at the end: unchanged means the scan is atomic.
+//     Migration moves bump no epoch, so a split or merge in flight never
+//     forces a retry by itself.
+//   - Each attempt runs under one guard, so a migration cannot start
+//     unobserved mid-walk, and the control plane waits one grace period
+//     after publishing a table before it clears the ctl or starts the
+//     next migration: a guard overlaps at most one republish.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -137,7 +53,6 @@
 #include "core/lockfree_trie.hpp"
 #include "shard/range_map.hpp"
 #include "sync/backoff.hpp"
-#include "sync/cacheline.hpp"
 #include "sync/ebr.hpp"
 
 namespace lfbt {
@@ -146,20 +61,16 @@ class ShardedTrie {
  public:
   static constexpr int kDefaultShards = 8;
   /// Hard cap on concurrent ranges, matched to NodeArena's per-thread
-  /// cursor capacity (kSlotsPerThread = 64): each shard owns one arena,
-  /// and with at most 64 live arenas the direct-mapped cursor slots
-  /// rarely collide, so chunks are almost never abandoned on an arena
-  /// switch (and abandoned ones now retire to the ChunkStore anyway).
+  /// cursor capacity (kSlotsPerThread = 64; one arena per shard).
   /// Construction requests above the cap are clamped (width grows);
   /// split() fails once the routing table is full.
   static constexpr int kMaxShards = reshard::RangeTable::kMaxRanges;
 
-  /// Called by the migrator between batches with the next window's
-  /// first key; return false to abandon the migration (it stays
-  /// resident and a later split()/merge() of the same range adopts and
-  /// finishes it). Tests use blocking pacers to freeze a migration
-  /// mid-flight and takeover pacers to model a crashed splitter.
-  using SplitPacer = std::function<bool(Key next_window_lo)>;
+  /// Test hook called by the migrator between batches (never inside a
+  /// copy window) with the next window's first key. Blocking or yielding
+  /// in it freezes or slows a migration mid-flight; it cannot abandon
+  /// one. It runs under the control mutex, so it must not reshard.
+  using SplitPacer = std::function<void(Key next_window_lo)>;
 
   /// maybe_split() trigger: at least min_ops routed since the last
   /// policy check, with the hottest range drawing at least `imbalance`
@@ -175,16 +86,13 @@ class ShardedTrie {
         width_((universe + static_cast<Key>(clamped(shards)) - 1) /
                static_cast<Key>(clamped(shards))) {
     assert(universe >= 1 && shards >= 1);
-    assert(universe <= reshard::kMaxUniverse);
     auto* t = new reshard::RangeTable;
     t->n = static_cast<int>((universe + width_ - 1) / width_);
     t->fixed_width = width_;
     for (int s = 0; s < t->n; ++s) {
       const Key base = static_cast<Key>(s) * width_;
-      auto* sh = new reshard::Shard(base, std::min(width_, u_ - base));
       t->lo[s] = base;
-      t->shard[s] = sh;
-      shards_.push_back(sh);
+      t->shard[s] = new reshard::Shard(base, std::min(width_, u_ - base));
     }
     t->lo[t->n] = u_;
     table_.store(t, std::memory_order_release);
@@ -192,10 +100,11 @@ class ShardedTrie {
 
   /// Requires quiescence, like any container destructor. Snapshots,
   /// ctls and merge victims retired earlier are freed by EBR on their
-  /// own schedule; everything still live is torn down here.
+  /// own schedule; the current table's shards are torn down here.
   ~ShardedTrie() {
-    delete table_.load(std::memory_order_relaxed);
-    for (auto* s : shards_) delete s;
+    const auto* t = table_.load(std::memory_order_relaxed);
+    for (int i = 0; i < t->n; ++i) delete t->shard[i];
+    delete t;
   }
 
   ShardedTrie(const ShardedTrie&) = delete;
@@ -224,13 +133,12 @@ class ShardedTrie {
   }
   /// Number of published geometry changes (splits + merges) so far.
   uint64_t reshard_count() const { return reshard_seq_.load(); }
-  /// True while some migration is started but not yet published.
+  /// True while some migration is started but not yet finished.
   bool resharding_in_flight() const {
     ebr::Guard g;
     const auto* t = table_.load();
     for (int i = 0; i < t->n; ++i) {
-      const auto* c = t->shard[i]->ctl.load();
-      if (c != nullptr && !c->published.load()) return true;
+      if (t->shard[i]->ctl.load() != nullptr) return true;
     }
     return false;
   }
@@ -241,280 +149,140 @@ class ShardedTrie {
     ebr::Guard g;
     const auto* t = table_.load();
     reshard::Shard* s = t->shard[t->find(x)];
-    reshard::SplitCtl* c = s->ctl.load();
-    if (c == nullptr || x < c->move_lo) return s->trie->contains(x - s->base);
-    const uint64_t w = c->word.load();
-    const Key wm = reshard::mig_watermark(w);
-    if (x < wm) return c->dst->trie->contains(x - c->dst->base);
-    if (reshard::mig_copy(w) &&
-        x < std::min<Key>(wm + reshard::SplitCtl::kBatch, c->move_hi)) {
-      // Copy window: union read, src BEFORE dst (a key the migrator
-      // moves between the probes enters dst before it leaves src).
-      return s->trie->contains(x - s->base) ||
-             c->dst->trie->contains(x - c->dst->base);
+    const reshard::SplitCtl* c = s->ctl.load();
+    if (reshard::Shard* o = route(s, c, x)) {
+      return o->trie->contains(x - o->base);
     }
-    return s->trie->contains(x - s->base);
+    // Copy window: union read, src BEFORE dst (a key the migrator moves
+    // between the probes enters dst before it leaves src).
+    return s->trie->contains(x - s->base) ||
+           c->dst->trie->contains(x - c->dst->base);
   }
 
-  /// Routed by the current table (and migration watermark); bumps the
-  /// owning shard's insert epoch after the inner insert returns — the
-  /// validation handshake documented above, and the insert half of the
-  /// load observer. Backs off outside its guard when the key sits in an
-  /// announced copy window.
+  /// Routed by the table and migration watermark; bumps the owning
+  /// shard's insert (resp. delete) epoch after the inner op returns — the
+  /// validation handshake and the load observer's input. Backs off
+  /// outside its guard while the key sits in an announced copy window.
   void insert(Key x) { update<true>(x); }
-
-  /// Routed like insert; bumps the owning shard's delete epoch (union
-  /// pair-read staleness check + the erase half of the load observer).
-  /// The inner delete embeds its two announcement-side queries as FUSED
-  /// direction pairs against the owning shard's own P-ALL — sharding
-  /// and fusion compose multiplicatively on the delete constant.
   void erase(Key x) { update<false>(x); }
 
-  /// Largest key < y, or kNoKey; y in [0, universe()]. Cross-range scan
-  /// with epoch validation — see the header comment for the argument.
+  /// Largest key < y, or kNoKey; y in [0, universe()]. Epoch-validated
+  /// downward walk across ranges.
   Key predecessor(Key y) {
     assert(y >= 0 && y <= u_);
-    if (y <= 0) return kNoKey;
-    for (;;) {
-      ebr::Guard g;
-      const auto* t = table_.load();
-      const int s0 = t->find(y - 1);
-      RangeObs obs[reshard::RangeTable::kMaxRanges];
-      Key ans = kNoKey;
-      int i_ans = -1;
-      for (int i = s0; i >= 0; --i) {
-        const Key r = observe<false>(t, i, y, obs[i]);
-        if (r != kNoKey) {
-          ans = r;
-          i_ans = i;
-          break;
-        }
-      }
-      // Validate every range above the one that answered (all of them,
-      // above range 0, when none did). Unchanged insert epochs pin "no
-      // key < y appeared there" across the answering observation; the
-      // answering observation validated itself (atomic inner op, or the
-      // union pair-read's internal epoch recheck).
-      bool valid = true;
-      for (int i = i_ans < 0 ? 1 : i_ans + 1; i <= s0 && valid; ++i) {
-        valid = obs[i].unchanged();
-      }
-      if (valid) return ans;
-    }
+    return y <= 0 ? kNoKey : walk<false>(y);
   }
 
-  /// Smallest key > y, or kNoKey; y in [-1, universe()). Upward
-  /// cross-range scan with epoch validation — the mirror image of
-  /// predecessor.
+  /// Smallest key > y, or kNoKey; y in [-1, universe()). The mirror
+  /// image of predecessor.
   Key successor(Key y) {
     assert(y >= -1 && y < u_);
-    if (y >= u_ - 1) return kNoKey;
-    for (;;) {
-      ebr::Guard g;
-      const auto* t = table_.load();
-      const int s0 = t->find(y + 1);
-      RangeObs obs[reshard::RangeTable::kMaxRanges];
-      Key ans = kNoKey;
-      int i_ans = -1;
-      for (int i = s0; i < t->n; ++i) {
-        const Key r = observe<true>(t, i, y, obs[i]);
-        if (r != kNoKey) {
-          ans = r;
-          i_ans = i;
-          break;
-        }
-      }
-      bool valid = true;
-      const int last = i_ans < 0 ? t->n - 2 : i_ans - 1;
-      for (int i = s0; i <= last && valid; ++i) {
-        valid = obs[i].unchanged();
-      }
-      if (valid) return ans;
-    }
+    return y >= u_ - 1 ? kNoKey : walk<true>(y);
   }
 
   /// Ascending keys of S ∩ [lo, hi], at most `limit`, appended to `out`;
-  /// returns the number appended. Delegates to the validated scan below
-  /// (quiet windows observe one state for free); under interference the
-  /// kept walk degrades to the weak per-step contract of
-  /// query/range_scan.hpp after the bounded retries.
+  /// returns the number appended. The validated scan below, which keeps
+  /// a weak-contract per-step walk once its retries run out.
   std::size_t range_scan(Key lo, Key hi, std::size_t limit,
                          std::vector<Key>& out) {
     return range_scan_validated(lo, hi, limit, out).n;
   }
 
-  /// Epoch-validated cross-range scan — see the header comment for the
-  /// argument. Walks ranges upward with the O(1) empty-shard skip; a
-  /// mid-migration range merge-walks src and dst under the union
-  /// pair-read rules. One ebr::Guard covers each attempt's pre-reads,
-  /// walk and validation (the "migration cannot start unobserved
-  /// mid-walk" invariant). atomic == true iff the kept walk validated.
+  /// Epoch-validated cross-range scan: walks ranges upward with the O(1)
+  /// empty-shard skip, merge-walking src and dst of a mid-migration
+  /// range, all under one guard per attempt. atomic == true iff the kept
+  /// walk validated.
   ScanResult range_scan_validated(Key lo, Key hi, std::size_t limit,
                                   std::vector<Key>& out,
                                   uint32_t max_retries = kDefaultScanRetries) {
     assert(lo >= 0 && lo < u_ && hi >= lo);
     if (hi >= u_) hi = u_ - 1;
-    const std::size_t base = out.size();
-    ScanResult res;
-    for (;;) {
-      {
-        ebr::Guard g;
-        const auto* t = table_.load();
-        ScanObs obs[reshard::RangeTable::kMaxRanges];
-        int nobs = 0;
-        std::size_t n = 0;
-        for (int i = t->find(lo); i < t->n && n < limit; ++i) {
-          const Key elo = t->lo[i];
-          const Key ehi = t->lo[i + 1];
-          if (elo > hi) break;
-          reshard::Shard* s = t->shard[i];
-          reshard::SplitCtl* c = s->ctl.load();
-          reshard::Shard* d =
-              (c != nullptr && c->move_lo < ehi) ? c->dst : nullptr;
-          // Record the entry's epoch pair(s) BEFORE its first probe —
-          // also for entries the empty-skip never probes: an insert
-          // landing behind the skip must still fail validation.
-          ScanObs& o = obs[nobs++];
-          o.a = s;
-          o.b = d;
-          o.ia = s->ins_epoch.value.load();
-          o.da = s->del_epoch.value.load();
-          if (d != nullptr) {
-            o.ib = d->ins_epoch.value.load();
-            o.db = d->del_epoch.value.load();
-          }
-          if (d == nullptr && s->trie->empty()) continue;
-          Key cursor = std::max(lo, elo) - 1;  // report keys > cursor
-          while (n < limit) {
-            const Key ra = range_succ(*s->trie, s->base, elo, ehi, cursor);
-            const Key rb =
-                d != nullptr
-                    ? range_succ(*d->trie, d->base,
-                                 std::max(elo, c->move_lo), ehi, cursor)
-                    : kNoKey;
-            const Key r =
-                ra == kNoKey ? rb : (rb == kNoKey ? ra : std::min(ra, rb));
-            if (r == kNoKey || r > hi) break;
-            out.push_back(r);
-            ++n;
-            cursor = r;
-          }
-        }
-        res.n = n;
-        bool valid = true;
-        for (int k = 0; k < nobs && valid; ++k) valid = obs[k].unchanged();
-        if (valid) {
-          res.atomic = true;
-          Stats::count_scan_atomic();
-          return res;
+    return retry_validated_scan(out, max_retries, [&](std::size_t& n) {
+      ebr::Guard g;
+      const auto* t = table_.load();
+      EpochObs obs[reshard::RangeTable::kMaxRanges];
+      int nobs = 0;
+      for (int i = t->find(lo); i < t->n && n < limit; ++i) {
+        const Key elo = t->lo[i];
+        const Key ehi = t->lo[i + 1];
+        if (elo > hi) break;
+        reshard::Shard* s = t->shard[i];
+        const reshard::SplitCtl* c = s->ctl.load();
+        reshard::Shard* d =
+            (c != nullptr && c->move_lo < ehi) ? c->dst : nullptr;
+        // Record the entry's epoch pair(s) BEFORE its first probe — also
+        // for entries the empty-skip never probes: an insert landing
+        // behind the skip must still fail validation.
+        obs[nobs++].record(s, d);
+        if (d == nullptr && s->trie->empty()) continue;
+        const Key dlo = d != nullptr ? std::max(elo, c->move_lo) : elo;
+        Key cursor = std::max(lo, elo) - 1;  // report keys > cursor
+        while (n < limit) {
+          const Key r = probe<true>(*s, d, dlo, elo, ehi, cursor);
+          if (r == kNoKey || r > hi) break;
+          out.push_back(r);
+          ++n;
+          cursor = r;
         }
       }
-      if (res.retries >= max_retries) {
-        // Keep the last walk: per-step correct, honestly flagged.
-        Stats::count_scan_fallback();
-        return res;
+      for (int k = 0; k < nobs; ++k) {
+        if (!obs[k].unchanged(/*with_del=*/true)) return false;
       }
-      out.resize(base);
-      ++res.retries;
-      Stats::count_scan_retry();
-    }
+      return true;
+    });
   }
 
   /// Sum of per-range sizes (plus in-flight split targets); approximate
   /// under concurrency, exact at quiescence, never an undercount (each
   /// addend is conservative, and a mid-move key counts at most twice).
   std::size_t size() const {
-    ebr::Guard g;
-    const auto* t = table_.load();
     std::size_t n = 0;
-    for (int i = 0; i < t->n; ++i) {
-      reshard::Shard* s = t->shard[i];
-      n += s->trie->size();
-      const reshard::SplitCtl* c = s->ctl.load();
-      // An unpublished split's dst is not in the table yet; count it.
-      // (A merge's dst is the left entry's shard — already counted.)
-      if (c != nullptr && !c->merge && c->move_lo < t->lo[i + 1]) {
-        n += c->dst->trie->size();
-      }
-    }
+    for_each_trie([&](const LockFreeBinaryTrie& tr) { n += tr.size(); });
     return n;
   }
   bool empty() const { return size() == 0; }
 
-  /// Arena bytes across every live shard, including unpublished split
-  /// targets and not-yet-reclaimed merge victims still in the live set.
+  /// Arena bytes across every live shard, including an unpublished split
+  /// target and a merge victim that is still draining.
   std::size_t memory_reserved() const {
-    std::lock_guard<std::mutex> lk(ctl_mu_);
     std::size_t n = 0;
-    for (const auto* s : shards_) n += s->trie->memory_reserved();
+    for_each_trie(
+        [&](const LockFreeBinaryTrie& tr) { n += tr.memory_reserved(); });
     return n;
   }
 
-  // -------------------------------------------------------------------
-  // Resharding control plane. Serialized on ctl_mu_ for geometry
-  // decisions; the migration itself (the long part) runs outside the
-  // mutex, so concurrent migrations of DIFFERENT ranges proceed in
-  // parallel and a second caller on the SAME range joins as a takeover.
-  // -------------------------------------------------------------------
+  // ---- control plane ---------------------------------------------------
+  // One reshard at a time: split(), merge() and maybe_split() hold ctl_mu_
+  // for the whole migration, grace waits included; the data plane never
+  // takes it.
 
   /// Splits range `i` of the current table at its midpoint, migrating
   /// the top half to a fresh shard, and publishes the new geometry.
-  /// Returns true once the split is published (by us, or by a prior
-  /// owner we joined). Returns false if the range cannot split (width
-  /// 1, table full, the shard is busy merging) or the pacer abandoned
-  /// the migration. If the range already has a split in flight, the
-  /// call TAKES OVER: it bumps the owner seq, waits one grace period
-  /// for the old owner's in-flight key move to drain, and finishes the
-  /// migration — the recovery path for a paused or crashed splitter.
+  /// Returns false, changing nothing, if the range cannot split (bad
+  /// index, width 1, or the table is full). Waits for any reshard
+  /// already running.
   bool split(int i, const SplitPacer& pacer = {}) {
-    reshard::SplitCtl* c = nullptr;
-    {
-      std::lock_guard<std::mutex> lk(ctl_mu_);
-      const auto* t = table_.load(std::memory_order_relaxed);
-      if (i < 0 || i >= t->n) return false;
-      reshard::Shard* s = t->shard[i];
-      reshard::SplitCtl* cur = s->ctl.load(std::memory_order_relaxed);
-      if (cur != nullptr && !cur->published.load(std::memory_order_relaxed)) {
-        // A merge is draining this range away; a replace is rebuilding
-        // it — neither in-flight migration is a split we can adopt.
-        if (cur->merge || cur->replace) return false;
-        c = cur;  // adopt the in-flight split
-      } else {
-        const Key lo = t->lo[i];
-        const Key hi = t->lo[i + 1];
-        if (hi - lo < 2) return false;
-        if (t->n >= reshard::RangeTable::kMaxRanges) return false;
-        if (s->busy) return false;  // dst of a migration completing now
-        const Key mid = lo + (hi - lo) / 2;
-        auto* d = new reshard::Shard(mid, hi - mid);
-        c = new reshard::SplitCtl(mid, hi, s, d, /*merge=*/false);
-        install_ctl(s, c);
-        s->busy = d->busy = true;
-        shards_.push_back(d);
-      }
-      ++c->owners;
-    }
-    const uint32_t myseq = seize(c);
-    const bool drained = run_migration(c, myseq, pacer);
-    if (drained) publish(c);
-    release_ctl(c);
-    return drained;
+    std::lock_guard<std::mutex> lk(ctl_mu_);
+    return split_locked(i, pacer);
   }
 
   /// Merges range `i+1` back into range `i`, draining the right shard
-  /// and retiring it at publication. When the left shard's trie cannot
-  /// host the widened range — construction-time neighbours, whose tries
-  /// were sized to exactly their original width — the call first
-  /// REBUILDS entry i: an online replace-migration drains it into a
-  /// fresh shard wide enough for the combined range, publishes the
-  /// entry-swap, and the merge then proceeds as usual. Join/takeover/
-  /// abandon semantics mirror split().
+  /// and retiring it. Merges only undo splits: the left shard's trie
+  /// must already span both ranges, as it does for the two halves of an
+  /// earlier split. Anything else — construction-time neighbours, or a
+  /// split's right half with the range to its right — is refused
+  /// (returns false, changing nothing).
   bool merge(int i, const SplitPacer& pacer = {}) {
-    MergeVerdict v = try_merge(i, pacer);
-    if (v == MergeVerdict::kNeedsRebuild && rebuild_range(i, pacer)) {
-      v = try_merge(i, pacer);
-    }
-    return v == MergeVerdict::kOk;
+    std::lock_guard<std::mutex> lk(ctl_mu_);
+    const auto* t = table_.load(std::memory_order_relaxed);
+    if (i < 0 || i + 1 >= t->n) return false;
+    reshard::Shard* l = t->shard[i];
+    const Key hi = t->lo[i + 2];
+    if (hi - l->base > l->trie->universe()) return false;
+    migrate(new reshard::SplitCtl{t->lo[i + 1], hi, t->shard[i + 1], l,
+                                  /*merge=*/true},
+            pacer);
+    return true;
   }
 
   /// Load-observer policy hook: if a policy window has elapsed
@@ -524,39 +292,28 @@ class ShardedTrie {
   /// thread, every Nth op, the bench harness.
   int maybe_split() { return maybe_split(SplitPolicy{}); }
   int maybe_split(const SplitPolicy& pol) {
-    int target = -1;
-    {
-      std::lock_guard<std::mutex> lk(ctl_mu_);
-      const auto* t = table_.load(std::memory_order_relaxed);
-      uint64_t total = 0;
-      uint64_t best = 0;
-      uint64_t now[reshard::RangeTable::kMaxRanges];
-      int besti = -1;
-      for (int i = 0; i < t->n; ++i) {
-        now[i] = t->shard[i]->load();
-        const uint64_t delta = now[i] - t->shard[i]->load_snap;
-        total += delta;
-        if (delta > best) {
-          best = delta;
-          besti = i;
-        }
-      }
-      if (total < pol.min_ops) return -1;
-      // Window consumed: reset the per-shard snapshots either way.
-      for (int i = 0; i < t->n; ++i) t->shard[i]->load_snap = now[i];
-      const double fair = static_cast<double>(total) / t->n;
-      const bool hot =
-          t->n == 1 || static_cast<double>(best) >= pol.imbalance * fair;
-      if (besti >= 0 && hot && t->lo[besti + 1] - t->lo[besti] >= 2 &&
-          t->n < reshard::RangeTable::kMaxRanges && !t->shard[besti]->busy) {
-        const auto* cc = t->shard[besti]->ctl.load(std::memory_order_relaxed);
-        if (cc == nullptr || cc->published.load(std::memory_order_relaxed)) {
-          target = besti;
-        }
+    std::lock_guard<std::mutex> lk(ctl_mu_);
+    const auto* t = table_.load(std::memory_order_relaxed);
+    uint64_t total = 0;
+    uint64_t best = 0;
+    uint64_t now[reshard::RangeTable::kMaxRanges];
+    int besti = -1;
+    for (int i = 0; i < t->n; ++i) {
+      now[i] = t->shard[i]->load();
+      const uint64_t delta = now[i] - t->shard[i]->load_snap;
+      total += delta;
+      if (delta > best) {
+        best = delta;
+        besti = i;
       }
     }
-    if (target < 0) return -1;
-    return split(target) ? target : -1;
+    if (total < pol.min_ops) return -1;
+    // Window consumed: reset the per-shard snapshots either way.
+    for (int i = 0; i < t->n; ++i) t->shard[i]->load_snap = now[i];
+    const double fair = static_cast<double>(total) / t->n;
+    const bool hot =
+        t->n == 1 || static_cast<double>(best) >= pol.imbalance * fair;
+    return besti >= 0 && hot && split_locked(besti, {}) ? besti : -1;
   }
 
  private:
@@ -565,6 +322,20 @@ class ShardedTrie {
   }
 
   // ---- data plane -----------------------------------------------------
+
+  /// The shard that owns x under s's migration c — s itself, or c's dst
+  /// below the watermark — or nullptr inside an announced copy window.
+  static reshard::Shard* route(reshard::Shard* s, const reshard::SplitCtl* c,
+                               Key x) {
+    if (c == nullptr || x < c->move_lo) return s;
+    const uint64_t w = c->word.load();
+    const Key wm = reshard::mig_watermark(w);
+    if (x < wm) return c->dst;
+    const bool in_window =
+        reshard::mig_copy(w) &&
+        x < std::min<Key>(wm + reshard::SplitCtl::kBatch, c->move_hi);
+    return in_window ? nullptr : s;
+  }
 
   template <bool IsInsert>
   void update(Key x) {
@@ -575,26 +346,13 @@ class ShardedTrie {
         ebr::Guard g;
         const auto* t = table_.load();
         reshard::Shard* s = t->shard[t->find(x)];
-        reshard::Shard* owner = s;
-        reshard::SplitCtl* c = s->ctl.load();
-        if (c != nullptr && x >= c->move_lo) {
-          const uint64_t w = c->word.load();
-          const Key wm = reshard::mig_watermark(w);
-          if (x < wm) {
-            owner = c->dst;
-          } else if (reshard::mig_copy(w) &&
-                     x < std::min<Key>(wm + reshard::SplitCtl::kBatch,
-                                       c->move_hi)) {
-            owner = nullptr;  // exclusive copy window: back off, re-route
-          }
-        }
-        if (owner != nullptr) {
+        if (reshard::Shard* o = route(s, s->ctl.load(), x)) {
           if constexpr (IsInsert) {
-            owner->trie->insert(x - owner->base);
-            owner->ins_epoch.value.fetch_add(1);
+            o->trie->insert(x - o->base);
+            o->ins_epoch.value.fetch_add(1);
           } else {
-            owner->trie->erase(x - owner->base);
-            owner->del_epoch.value.fetch_add(1);
+            o->trie->erase(x - o->base);
+            o->del_epoch.value.fetch_add(1);
           }
           return;
         }
@@ -605,377 +363,228 @@ class ShardedTrie {
     }
   }
 
-  /// Largest present key of `trie` within [rlo, rhi) ∩ [0, y), global
+  /// Cross-range predecessor (Upward=false) or successor walk from y's
+  /// owner, with epoch validation — see the header comment.
+  template <bool Upward>
+  Key walk(Key y) {
+    constexpr int kStep = Upward ? 1 : -1;
+    for (;;) {
+      ebr::Guard g;
+      const auto* t = table_.load();
+      const int s0 = t->find(Upward ? y + 1 : y - 1);
+      const int end = Upward ? t->n : -1;
+      EpochObs obs[reshard::RangeTable::kMaxRanges];
+      Key ans = kNoKey;
+      int i = s0;
+      for (; i != end; i += kStep) {
+        ans = observe<Upward>(t, i, y, obs[i]);
+        if (ans != kNoKey) break;
+      }
+      // The walk linearizes at its last observation (the answering
+      // range, or the final one); unchanged insert epochs pin "no key
+      // past y appeared" in every range walked before it.
+      const int last = i == end ? i - kStep : i;
+      bool valid = true;
+      for (int k = s0; k != last && valid; k += kStep) {
+        valid = obs[k].unchanged(/*with_del=*/false);
+      }
+      if (valid) return ans;
+    }
+  }
+
+  /// Largest present key of shard `s` within [rlo, rhi) ∩ [0, y), global
   /// coordinates, or kNoKey. Clamps the probe to the routed range.
-  static Key range_pred(LockFreeBinaryTrie& trie, Key base, Key rlo, Key rhi,
-                        Key y) {
+  static Key range_pred(const reshard::Shard& s, Key rlo, Key rhi, Key y) {
     const Key top = std::min(rhi, y);  // exclusive upper bound
     if (top <= rlo) return kNoKey;
-    Key ylocal = top - base;
-    const Key lu = trie.universe();
-    if (ylocal > lu) ylocal = lu;
+    const Key ylocal = std::min(top - s.base, s.trie->universe());
     if (ylocal <= 0) return kNoKey;
-    const Key r = trie.predecessor(ylocal);
+    const Key r = s.trie->predecessor(ylocal);
     if (r == kNoKey) return kNoKey;
-    const Key gkey = base + r;
-    return gkey >= rlo ? gkey : kNoKey;
+    return s.base + r >= rlo ? s.base + r : kNoKey;
   }
 
-  /// Smallest present key of `trie` within [rlo, rhi) ∩ (y, ∞), global
+  /// Smallest present key of shard `s` within [rlo, rhi) ∩ (y, ∞), global
   /// coordinates, or kNoKey.
-  static Key range_succ(LockFreeBinaryTrie& trie, Key base, Key rlo, Key rhi,
-                        Key y) {
+  static Key range_succ(const reshard::Shard& s, Key rlo, Key rhi, Key y) {
     const Key bot = std::max(rlo, y + 1);  // inclusive lower bound
     if (bot >= rhi) return kNoKey;
-    Key ylocal = bot - 1 - base;
-    const Key lu = trie.universe();
-    if (ylocal < -1) ylocal = -1;
-    if (ylocal >= lu - 1) return kNoKey;
-    const Key r = trie.successor(ylocal);
+    const Key ylocal = std::max<Key>(bot - 1 - s.base, -1);
+    if (ylocal >= s.trie->universe() - 1) return kNoKey;
+    const Key r = s.trie->successor(ylocal);
     if (r == kNoKey) return kNoKey;
-    const Key gkey = base + r;
-    return gkey < rhi ? gkey : kNoKey;
+    return s.base + r < rhi ? s.base + r : kNoKey;
   }
 
-  /// Epoch pairs a validated scan recorded for one routing entry (and
-  /// its migration dst, when one intersects); unchanged() re-reads them
-  /// after the walk. Scans need BOTH directions — an erase behind the
-  /// cursor invalidates a reported key just as an insert invalidates a
-  /// gap — where the pred/succ walk's no-key ranges need inserts only.
-  struct ScanObs {
+  /// Nearest key past y (above when Upward) among entry [elo, ehi)'s keys
+  /// in `s` and, when d is set, in migration dst `d` over [dlo, ehi).
+  /// src is probed BEFORE dst: a move inserts into dst before erasing
+  /// from src, so a key present throughout is seen by some probe.
+  template <bool Upward>
+  static Key probe(const reshard::Shard& s, const reshard::Shard* d, Key dlo,
+                   Key elo, Key ehi, Key y) {
+    const Key ra = Upward ? range_succ(s, elo, ehi, y)
+                          : range_pred(s, elo, ehi, y);
+    if (d == nullptr) return ra;
+    const Key rb = Upward ? range_succ(*d, dlo, ehi, y)
+                          : range_pred(*d, dlo, ehi, y);
+    if (!Upward) return std::max(ra, rb);  // kNoKey == -1 orders lowest
+    return ra == kNoKey ? rb : (rb == kNoKey ? ra : std::min(ra, rb));
+  }
+
+  /// Epochs of one routing entry's shard `a` (and of the dst `b` of a
+  /// migration intersecting it), re-read by unchanged(). A walk's no-key
+  /// observation needs insert epochs only; pair-reads and scans need
+  /// both — an erase invalidates a reported key as an insert does a gap.
+  struct EpochObs {
     reshard::Shard* a = nullptr;
     reshard::Shard* b = nullptr;
     uint64_t ia = 0, da = 0, ib = 0, db = 0;
-    bool unchanged() const {
+    void record(reshard::Shard* s, reshard::Shard* d) {
+      a = s;
+      b = d;
+      ia = s->ins_epoch.value.load();
+      da = s->del_epoch.value.load();
+      if (d != nullptr) {
+        ib = d->ins_epoch.value.load();
+        db = d->del_epoch.value.load();
+      }
+    }
+    bool unchanged(bool with_del) const {
       if (a->ins_epoch.value.load() != ia ||
-          a->del_epoch.value.load() != da) {
+          (with_del && a->del_epoch.value.load() != da)) {
         return false;
       }
       return b == nullptr || (b->ins_epoch.value.load() == ib &&
-                              b->del_epoch.value.load() == db);
+                              (!with_del || b->del_epoch.value.load() == db));
     }
   };
 
-  /// Epochs a cross-range walk recorded for one range; unchanged()
-  /// re-reads them during validation.
-  struct RangeObs {
-    reshard::Shard* a = nullptr;
-    reshard::Shard* b = nullptr;  // migration dst overlapping the entry
-    uint64_t ea = 0;
-    uint64_t eb = 0;
-    bool unchanged() const {
-      if (a->ins_epoch.value.load() != ea) return false;
-      return b == nullptr || b->ins_epoch.value.load() == eb;
-    }
-  };
-
-  /// One per-range observation of entry i: the directional extremum of
-  /// the range's key set strictly below (Upward=false) or above
-  /// (Upward=true) y, or kNoKey. Fills `obs` for the caller's
-  /// validation pass; union pair-reads self-validate (see header).
+  /// One observation of entry i for walk(): its nearest key past y, or
+  /// kNoKey. Fills `obs`; a union pair-read validates itself.
   template <bool Upward>
-  Key observe(const reshard::RangeTable* t, int i, Key y, RangeObs& obs) {
+  Key observe(const reshard::RangeTable* t, int i, Key y, EpochObs& obs) {
     const Key elo = t->lo[i];
     const Key ehi = t->lo[i + 1];
     reshard::Shard* s = t->shard[i];
-    obs.a = s;
-    reshard::SplitCtl* c = s->ctl.load();
+    const reshard::SplitCtl* c = s->ctl.load();
     if (c == nullptr || c->move_lo >= ehi) {
       // No migration intersects this entry (a published split's moved
-      // range starts exactly at the shrunk entry's upper bound).
-      obs.b = nullptr;
-      obs.ea = s->ins_epoch.value.load();
+      // range starts exactly at the shrunk entry's upper bound). A walk
+      // validates insert epochs only; skip the contended delete epoch.
+      obs = EpochObs{s, nullptr, s->ins_epoch.value.load()};
       if (s->trie->empty()) return kNoKey;
-      return Upward ? range_succ(*s->trie, s->base, elo, ehi, y)
-                    : range_pred(*s->trie, s->base, elo, ehi, y);
+      return probe<Upward>(*s, nullptr, elo, elo, ehi, y);
     }
-    reshard::Shard* d = c->dst;
-    obs.b = d;
     const Key dlo = std::max(elo, c->move_lo);
     for (;;) {
-      obs.ea = s->ins_epoch.value.load();
-      obs.eb = d->ins_epoch.value.load();
-      const uint64_t da = s->del_epoch.value.load();
-      const uint64_t db = d->del_epoch.value.load();
-      // src first, then dst: migration inserts into dst before erasing
-      // from src, so a key present throughout is seen by some probe.
-      Key ans;
-      if constexpr (Upward) {
-        const Key ra = range_succ(*s->trie, s->base, elo, ehi, y);
-        const Key rb = range_succ(*d->trie, d->base, dlo, ehi, y);
-        ans = ra == kNoKey ? rb : (rb == kNoKey ? ra : std::min(ra, rb));
-      } else {
-        const Key ra = range_pred(*s->trie, s->base, elo, ehi, y);
-        const Key rb = range_pred(*d->trie, d->base, dlo, ehi, y);
-        ans = std::max(ra, rb);  // kNoKey == -1 orders below real keys
-      }
+      obs.record(s, c->dst);
+      const Key ans = probe<Upward>(*s, c->dst, dlo, elo, ehi, y);
       // Clean pair-read: no client update landed in the range between
       // the probes, and migration moves preserve the union, so the
       // union was static and the extremum is exact. A dirty one means
       // some client op completed — progress — so this stays lock-free.
-      if (obs.ea == s->ins_epoch.value.load() &&
-          obs.eb == d->ins_epoch.value.load() &&
-          da == s->del_epoch.value.load() &&
-          db == d->del_epoch.value.load()) {
-        return ans;
+      if (obs.unchanged(/*with_del=*/true)) return ans;
+    }
+  }
+
+  /// Visits every live shard's trie once, under one guard: the table's
+  /// shards plus an in-flight split's dst, which is not in the table
+  /// yet (a merge's dst is the left entry's shard — already visited).
+  template <class F>
+  void for_each_trie(F&& f) const {
+    ebr::Guard g;
+    const auto* t = table_.load();
+    for (int i = 0; i < t->n; ++i) {
+      const reshard::Shard* s = t->shard[i];
+      f(*s->trie);
+      const reshard::SplitCtl* c = s->ctl.load();
+      if (c != nullptr && !c->merge && c->move_lo < t->lo[i + 1]) {
+        f(*c->dst->trie);
       }
     }
   }
 
-  // ---- migration machinery (control plane) ----------------------------
+  // ---- migration (control plane; ctl_mu_ held) -------------------------
 
-  enum class MergeVerdict { kOk, kRefused, kNeedsRebuild };
-
-  /// One merge attempt: the whole pre-rebuild merge() body. Returns
-  /// kNeedsRebuild only for the capacity refusal (the left trie's
-  /// universe cannot host the widened range) — every other refusal is
-  /// terminal for this call.
-  MergeVerdict try_merge(int i, const SplitPacer& pacer) {
-    reshard::SplitCtl* c = nullptr;
-    {
-      std::lock_guard<std::mutex> lk(ctl_mu_);
-      const auto* t = table_.load(std::memory_order_relaxed);
-      if (i < 0 || i + 1 >= t->n) return MergeVerdict::kRefused;
-      reshard::Shard* l = t->shard[i];
-      reshard::Shard* r = t->shard[i + 1];
-      const Key mid = t->lo[i + 1];
-      const Key hi = t->lo[i + 2];
-      reshard::SplitCtl* cur = r->ctl.load(std::memory_order_relaxed);
-      if (cur != nullptr && !cur->published.load(std::memory_order_relaxed)) {
-        if (!cur->merge || cur->dst != l) return MergeVerdict::kRefused;
-        c = cur;  // adopt the in-flight merge
-      } else {
-        if (l->busy || r->busy) return MergeVerdict::kRefused;
-        if (hi - l->base > l->trie->universe()) {
-          return MergeVerdict::kNeedsRebuild;
-        }
-        // The left shard's entry is about to widen over [mid, hi); a
-        // stale published ctl on it would alias that range to a dead
-        // dst once the widened entry stops skipping it. Clear it now —
-        // readers of the current table only ever skip it anyway.
-        reshard::SplitCtl* stale =
-            l->ctl.exchange(nullptr, std::memory_order_acq_rel);
-        if (stale != nullptr) discard_ctl(stale);
-        c = new reshard::SplitCtl(mid, hi, r, l, /*merge=*/true);
-        install_ctl(r, c);
-        l->busy = r->busy = true;
-      }
-      ++c->owners;
-    }
-    const uint32_t myseq = seize(c);
-    const bool drained = run_migration(c, myseq, pacer);
-    if (drained) publish(c);
-    release_ctl(c);
-    return drained ? MergeVerdict::kOk : MergeVerdict::kRefused;
+  bool split_locked(int i, const SplitPacer& pacer) {
+    const auto* t = table_.load(std::memory_order_relaxed);
+    if (i < 0 || i >= t->n || t->n >= kMaxShards) return false;
+    const Key lo = t->lo[i];
+    const Key hi = t->lo[i + 1];
+    if (hi - lo < 2) return false;
+    const Key mid = lo + (hi - lo) / 2;
+    migrate(new reshard::SplitCtl{mid, hi, t->shard[i],
+                                  new reshard::Shard(mid, hi - mid),
+                                  /*merge=*/false},
+            pacer);
+    return true;
   }
 
-  /// merge()'s rebuild step: drain entry i into a fresh shard whose trie
-  /// spans the COMBINED range [lo_i, lo_{i+2}) and swap it into the
-  /// entry, retiring the old shard — an online replace-migration riding
-  /// the ordinary split machinery (the moved range is the whole entry,
-  /// so routing needs no new cases). Returns true once the entry-swap is
-  /// published; false if the entry is busy or the pacer abandoned the
-  /// drain (the resident ctl is adopted by a later merge of the same
-  /// range, like any abandoned migration).
-  bool rebuild_range(int i, const SplitPacer& pacer) {
-    reshard::SplitCtl* c = nullptr;
-    {
-      std::lock_guard<std::mutex> lk(ctl_mu_);
-      const auto* t = table_.load(std::memory_order_relaxed);
-      if (i < 0 || i + 1 >= t->n) return false;
-      reshard::Shard* l = t->shard[i];
-      const Key lo = t->lo[i];
-      const Key mid = t->lo[i + 1];
-      const Key hi = t->lo[i + 2];
-      reshard::SplitCtl* cur = l->ctl.load(std::memory_order_relaxed);
-      if (cur != nullptr && !cur->published.load(std::memory_order_relaxed)) {
-        if (!cur->replace) return false;  // foreign migration in flight
-        c = cur;  // adopt the in-flight rebuild
-      } else {
-        if (l->busy) return false;
-        auto* d = new reshard::Shard(lo, hi - lo);
-        c = new reshard::SplitCtl(lo, mid, l, d, /*merge=*/false,
-                                  /*replace=*/true);
-        install_ctl(l, c);
-        l->busy = d->busy = true;
-        shards_.push_back(d);
-      }
-      ++c->owners;
-    }
-    const uint32_t myseq = seize(c);
-    const bool drained = run_migration(c, myseq, pacer);
-    if (drained) publish(c);
-    release_ctl(c);
-    return drained;
-  }
-
-  /// Retires a ctl that has just been unlinked from its shard — now, if
-  /// no split()/merge() caller still holds the pointer, or at the last
-  /// release otherwise. ctl_mu_ must be held.
-  static void discard_ctl(reshard::SplitCtl* old) {
-    if (old->owners == 0) {
-      ebr::retire(old);
-    } else {
-      old->replaced = true;
-    }
-  }
-
-  /// Installs c on s, displacing any previous (published) ctl. ctl_mu_
-  /// must be held.
-  static void install_ctl(reshard::Shard* s, reshard::SplitCtl* c) {
-    reshard::SplitCtl* old = s->ctl.exchange(c, std::memory_order_acq_rel);
-    if (old != nullptr) discard_ctl(old);
-  }
-
-  /// Drops one control-plane reference to c. The last release performs
-  /// the deferred cleanup: retiring a displaced ctl, or retiring a
-  /// published merge's or replace's victim shard (whose destructor owns
-  /// the ctl) —
-  /// deferred to here because an attached caller may still read c->word
-  /// outside any guard, and a retired victim would free c under it.
-  void release_ctl(reshard::SplitCtl* c) {
-    reshard::SplitCtl* doomed = nullptr;
-    reshard::Shard* victim = nullptr;
-    {
-      std::lock_guard<std::mutex> lk(ctl_mu_);
-      if (--c->owners == 0) {
-        if (c->replaced) {
-          doomed = c;
-        } else if ((c->merge || c->replace) &&
-                   c->published.load(std::memory_order_relaxed)) {
-          victim = c->src;
-        }
-      }
-    }
-    if (doomed != nullptr) ebr::retire(doomed);
-    if (victim != nullptr) ebr::retire(victim);
-  }
-
-  /// Become c's owner: bump the seq so the previous owner's next
-  /// per-key check fails, then wait one grace period so its in-flight
-  /// key move (running under a guard) drains. Fresh ctls pay one cheap
-  /// no-contention grace wait for the uniformity.
-  static uint32_t seize(reshard::SplitCtl* c) {
-    uint64_t w = c->word.load();
-    for (;;) {
-      const uint32_t myseq = reshard::mig_seq(w) + 1;
-      const uint64_t nw = reshard::pack_mig(myseq, reshard::mig_copy(w),
-                                            reshard::mig_watermark(w));
-      if (c->word.compare_exchange_weak(w, nw)) {
-        ebr::synchronize();
-        return myseq;
-      }
-    }
-  }
-
-  /// Drive c forward while owning seq `myseq`. Returns true when the
-  /// moved range is fully drained; false on takeover (seq moved) or
-  /// abandonment (pacer returned false).
-  bool run_migration(reshard::SplitCtl* c, uint32_t myseq,
-                     const SplitPacer& pacer) {
-    const Key src_off = c->src->base;
-    const Key dst_off = c->dst->base;
-    for (;;) {
-      uint64_t w = c->word.load();
-      if (reshard::mig_seq(w) != myseq) return false;
-      const Key wm = reshard::mig_watermark(w);
-      if (!reshard::mig_copy(w)) {
-        if (wm >= c->move_hi) return true;  // drained
-        if (pacer && !pacer(wm)) return false;
-        // Announce the window, then wait one grace period: every client
-        // op routed before the announce has finished, so this thread is
-        // the only writer of window keys during the copy.
-        if (!c->word.compare_exchange_strong(
-                w, reshard::pack_mig(myseq, true, wm))) {
-          continue;  // takeover raced the announce
-        }
-        ebr::synchronize();
-      }
-      // Copy phase for [wm, win_end): move each present key with the
-      // idempotent insert-to-new / erase-from-old pair. Every move runs
-      // under a fresh guard and re-checks ownership, so a successor's
-      // seize() grace wait flushes at most this one half-moved key.
-      const Key win_end =
-          std::min<Key>(wm + reshard::SplitCtl::kBatch, c->move_hi);
-      Key cur = wm - 1 - src_off;
-      for (;;) {
-        ebr::Guard g;
-        if (reshard::mig_seq(c->word.load()) != myseq) return false;
-        const Key r = c->src->trie->successor(cur);
-        if (r == kNoKey || src_off + r >= win_end) break;
-        c->dst->trie->insert(src_off + r - dst_off);
-        c->src->trie->erase(r);
-        cur = r;
-      }
-      // Settle the window; the CAS can only fail on a takeover, which
-      // the next loop iteration detects.
-      uint64_t expect = reshard::pack_mig(myseq, true, wm);
-      c->word.compare_exchange_strong(
-          expect, reshard::pack_mig(myseq, false, win_end));
-    }
-  }
-
-  /// Publish c's completed migration: republish the routing table,
-  /// then hold the involved shards' busy flags across one more grace
-  /// period so no guard can span this republish AND observe a
-  /// subsequent migration on the same shards (the header's "at most one
-  /// republish per shard per guard" invariant).
-  void publish(reshard::SplitCtl* c) {
+  /// Runs c to completion: install it, drain the moved range window by
+  /// window, publish the new table, then wait one grace period before
+  /// clearing the ctl — every guard still routing through the old table
+  /// finds it, and none can see the next migration as well.
+  void migrate(reshard::SplitCtl* c, const SplitPacer& pacer) {
     reshard::Shard* src = c->src;
     reshard::Shard* dst = c->dst;
-    const bool is_merge = c->merge;
-    const bool is_replace = c->replace;
-    {
-      std::lock_guard<std::mutex> lk(ctl_mu_);
-      if (c->published.load(std::memory_order_relaxed)) return;  // raced
-      c->published.store(true, std::memory_order_relaxed);
-      const auto* t = table_.load(std::memory_order_relaxed);
-      auto* nt = new reshard::RangeTable;
-      nt->fixed_width = 0;
-      int m = 0;
-      for (int j = 0; j < t->n; ++j) {
-        if (t->shard[j] == src && is_merge) continue;  // victim entry
-        nt->lo[m] = t->lo[j];
-        // A replace keeps the geometry and swaps the drained shard for
-        // its wide rebuild.
-        nt->shard[m] = (t->shard[j] == src && is_replace) ? dst : t->shard[j];
-        ++m;
-        if (t->shard[j] == src && !is_merge && !is_replace) {
-          nt->lo[m] = c->move_lo;  // the new shard takes the top half
-          nt->shard[m] = dst;
-          ++m;
-        }
+    c->word.store(reshard::pack_mig(false, c->move_lo));
+    src->ctl.store(c);
+    for (Key wm = c->move_lo; wm < c->move_hi;) {
+      if (pacer) pacer(wm);
+      // Announce the window, then wait one grace period: every client op
+      // routed before the announce has finished, so this thread is the
+      // only writer of window keys during the copy.
+      c->word.store(reshard::pack_mig(true, wm));
+      ebr::synchronize();
+      // Move each present key with the idempotent insert-to-new /
+      // erase-from-old pair, then settle the window.
+      const Key win_end =
+          std::min<Key>(wm + reshard::SplitCtl::kBatch, c->move_hi);
+      for (Key r = src->trie->successor(wm - 1 - src->base);
+           r != kNoKey && src->base + r < win_end;
+           r = src->trie->successor(r)) {
+        dst->trie->insert(src->base + r - dst->base);
+        src->trie->erase(r);
       }
-      nt->n = m;
-      nt->lo[m] = u_;
-      table_.store(nt);
-      reshard_seq_.fetch_add(1);
-      ebr::retire(const_cast<reshard::RangeTable*>(t));
-      if (is_merge || is_replace) {
-        shards_.erase(std::find(shards_.begin(), shards_.end(), src));
-      }
+      c->word.store(reshard::pack_mig(false, win_end));
+      wm = win_end;
     }
+    publish(*c);
     ebr::synchronize();
-    {
-      std::lock_guard<std::mutex> lk(ctl_mu_);
-      // Merge and replace victims leave the live set above; only a
-      // split's src survives to have its busy flag cleared.
-      if (!is_merge && !is_replace) src->busy = false;
-      dst->busy = false;
+    src->ctl.store(nullptr);
+    if (c->merge) ebr::retire(src);
+    ebr::retire(c);
+  }
+
+  /// Republishes the routing table for c's drained migration: a split
+  /// inserts dst's entry at move_lo, a merge drops src's entry (dst's
+  /// widened entry absorbs it).
+  void publish(const reshard::SplitCtl& c) {
+    reshard::RangeTable* t = table_.load(std::memory_order_relaxed);
+    auto* nt = new reshard::RangeTable;
+    int m = 0;
+    for (int j = 0; j < t->n; ++j) {
+      if (t->shard[j] == c.src && c.merge) continue;  // victim entry
+      nt->lo[m] = t->lo[j];
+      nt->shard[m++] = t->shard[j];
+      if (t->shard[j] == c.src && !c.merge) {
+        nt->lo[m] = c.move_lo;  // the new shard takes the top half
+        nt->shard[m++] = c.dst;
+      }
     }
-    // A merge's (or replace's) victim shard is NOT retired here: it
-    // (and the ctl its destructor owns) must outlive both every guard
-    // that still routes through the retired table snapshot (EBR grace
-    // handles that) and every control-plane caller still attached to
-    // the ctl — so the retire happens at the last release_ctl().
+    nt->n = m;
+    nt->lo[m] = u_;
+    table_.store(nt);
+    reshard_seq_.fetch_add(1);
+    ebr::retire(t);
   }
 
   const Key u_;
   const Key width_;
   std::atomic<reshard::RangeTable*> table_{nullptr};
   std::atomic<uint64_t> reshard_seq_{0};
-  mutable std::mutex ctl_mu_;
-  std::vector<reshard::Shard*> shards_;  // all live shards (under ctl_mu_)
+  std::mutex ctl_mu_;  // serializes whole reshards
 };
 
 }  // namespace lfbt

@@ -110,7 +110,7 @@ class NodeArena {
     // Push onto this arena's chunk list (lock-free stack).
     Chunk* head = chunks_.load(std::memory_order_relaxed);
     do {
-      c->next = head;
+      c->next.store(head, std::memory_order_relaxed);
     } while (!chunks_.compare_exchange_weak(head, c, std::memory_order_release,
                                             std::memory_order_relaxed));
     slot.chunk = c;
@@ -121,7 +121,7 @@ class NodeArena {
   void release_all() {
     Chunk* c = chunks_.exchange(nullptr, std::memory_order_acquire);
     while (c != nullptr) {
-      Chunk* next = c->next;
+      Chunk* next = c->next.load(std::memory_order_relaxed);
       reclaim::ChunkStore::release(c);
       c = next;
     }

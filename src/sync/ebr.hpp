@@ -7,12 +7,14 @@
 //
 // Used by the baseline lock-free structures (skip list, Harris list,
 // copy-on-write universal set) to run with bounded memory, and by the
-// trie's query-node recycling pool (QueryNodePool, lists/pall.hpp):
-// every trie operation that touches the P-ALL holds a Guard, and retired
-// query announcement nodes rejoin the pool after a grace period. The
-// trie's update nodes and cells still use the per-structure arena
-// instead (see README.md) because the paper's algorithm keeps long-lived
-// references to logically retired nodes.
+// trie's recycling pools: query, notify and INS/DEL update nodes
+// (lists/pall.hpp, core/trie_pools.hpp) and announcement cells
+// (reclaim/cell_quarantine.hpp, which adds a quarantine where a grace
+// period alone is not enough) rejoin their free lists only after a
+// grace period, and every trie operation holds a Guard. Update nodes
+// additionally carry pins for the references the paper's algorithm
+// keeps past a guard (dNodePtr, notify chains, INS targets). The arena
+// keeps only the bounded populations (dummy and relaxed-trie nodes).
 //
 // Layout note (E16 false-sharing audit): per-thread announce words are a
 // PaddedAtomic array separate from the owner-only limbo state — see the

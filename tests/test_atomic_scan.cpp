@@ -304,7 +304,6 @@ TEST(AtomicScan, ScanDuringFrozenSplitIsAtomicAndExact) {
         frozen.store(true);
         while (!release.load()) std::this_thread::yield();
       }
-      return true;
     });
     EXPECT_TRUE(ok);
   });
@@ -337,14 +336,8 @@ TEST(AtomicScan, ScanConcurrentWithSplitterAndWritersStaysSound) {
   std::atomic<bool> stop{false};
   std::thread churner([&] {
     while (!stop.load()) {
-      t.split(0, [&](Key) {
-        std::this_thread::yield();
-        return true;
-      });
-      t.merge(0, [&](Key) {
-        std::this_thread::yield();
-        return true;
-      });
+      t.split(0, [&](Key) { std::this_thread::yield(); });
+      t.merge(0, [&](Key) { std::this_thread::yield(); });
     }
   });
   std::thread writer([&] {

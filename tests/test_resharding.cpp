@@ -1,7 +1,7 @@
 // Split-torture coverage for ShardedTrie's online resharding: geometry
 // publication, differential correctness with geometry churn, Wing–Gong
-// linearizability with a split in flight, fault injection (frozen,
-// abandoned and taken-over migrations), a single-writer oracle run
+// linearizability with a split in flight, a frozen migration, concurrent
+// splitters serializing on the control plane, a single-writer oracle run
 // across a paused split, and a split/merge churn soak that pins the
 // memory footprint (the E13 leak gate extended to the control plane).
 #include <gtest/gtest.h>
@@ -85,39 +85,6 @@ TEST(Resharding, SplitRefusals) {
   EXPECT_EQ(t.reshard_count(), 0u);
 }
 
-TEST(Resharding, MergeRebuildsUndersizedLeftShard) {
-  // Construction-time neighbours: each trie's universe is exactly its
-  // original width, so the left shard cannot host the widened range and
-  // merge() must first REBUILD it (replace-migration into a fresh wide
-  // shard), then drain the right neighbour — two published reshards.
-  ShardedTrie t(4, 4);  // four width-1 ranges
-  std::set<Key> ref;
-  for (Key k : {0, 1, 3}) {
-    t.insert(k);
-    ref.insert(k);
-  }
-  EXPECT_TRUE(t.merge(0));
-  EXPECT_EQ(t.shard_count(), 3);
-  EXPECT_EQ(t.reshard_count(), 2u);  // rebuild + merge
-  EXPECT_FALSE(t.resharding_in_flight());
-  expect_matches(t, ref);
-  // The rebuilt range really hosts the union: it can split again, and
-  // the whole table can collapse to one range.
-  EXPECT_TRUE(t.split(0));
-  expect_matches(t, ref);
-  while (t.shard_count() > 1) {
-    ASSERT_TRUE(t.merge(0));
-    expect_matches(t, ref);
-  }
-  EXPECT_EQ(t.range_bounds(0), (std::pair<Key, Key>{0, 4}));
-  // Updates keep flowing through the fully collapsed geometry.
-  t.insert(2);
-  ref.insert(2);
-  t.erase(1);
-  ref.erase(1);
-  expect_matches(t, ref);
-}
-
 TEST(Resharding, MergeRestoresGeometry) {
   ShardedTrie t(128, 4);
   std::set<Key> ref;
@@ -134,6 +101,40 @@ TEST(Resharding, MergeRestoresGeometry) {
   expect_matches(t, ref);
   // The widened range can split again (the trie kept its full universe).
   EXPECT_TRUE(t.split(2));
+  expect_matches(t, ref);
+}
+
+TEST(Resharding, MergeRefusesNonSiblings) {
+  // Merges only undo splits: the left trie must already span both
+  // ranges. Every refusal leaves the table, the reshard count and the
+  // abstract set untouched.
+  ShardedTrie t(64, 2);  // [0,32), [32,64)
+  std::set<Key> ref;
+  for (Key k = 0; k < 64; k += 3) {
+    t.insert(k);
+    ref.insert(k);
+  }
+  auto table = [&] {
+    std::vector<std::pair<Key, Key>> b;
+    for (int i = 0; i < t.shard_count(); ++i) b.push_back(t.range_bounds(i));
+    return b;
+  };
+  auto expect_refused = [&](int i) {
+    const auto before = table();
+    const uint64_t reshards = t.reshard_count();
+    EXPECT_FALSE(t.merge(i));
+    EXPECT_EQ(table(), before);
+    EXPECT_EQ(t.reshard_count(), reshards);
+    EXPECT_FALSE(t.resharding_in_flight());
+    expect_matches(t, ref);
+  };
+  expect_refused(0);        // construction-time neighbours
+  ASSERT_TRUE(t.split(0));  // [0,16), [16,32), [32,64)
+  expect_refused(1);        // the split's right half with its neighbour
+  // The split's own halves still merge back.
+  EXPECT_TRUE(t.merge(0));
+  EXPECT_EQ(t.range_bounds(0), (std::pair<Key, Key>{0, 32}));
+  EXPECT_EQ(t.reshard_count(), 2u);
   expect_matches(t, ref);
 }
 
@@ -313,9 +314,11 @@ TEST(Resharding, LinearizableWithPolicyDrivenSplits) {
       if (t.shard_count() < 6) {
         t.maybe_split(pol);
       } else {
-        // Collapse left-to-right: shard 0 (the construction shard) can
-        // always host the widened range, so merge(0) drains the table.
-        while (t.shard_count() > 1 && t.merge(0)) {
+        // Collapse by merging any mergeable pair until none is left.
+        bool merged = true;
+        while (merged) {
+          merged = false;
+          for (int i = 0; i + 1 < t.shard_count(); ++i) merged |= t.merge(i);
         }
       }
       std::this_thread::yield();
@@ -345,7 +348,6 @@ TEST(Resharding, FrozenSplitterLeavesQueriesExact) {
         frozen.store(true);
         while (!release.load()) std::this_thread::yield();
       }
-      return true;
     });
     EXPECT_TRUE(ok);
   });
@@ -365,63 +367,30 @@ TEST(Resharding, FrozenSplitterLeavesQueriesExact) {
   expect_matches(t, ref);
 }
 
-TEST(Resharding, AbandonedSplitStaysResidentAndIsAdopted) {
-  ShardedTrie t(512, 2);
+TEST(Resharding, ConcurrentSplitsSerialize) {
+  // Reshards run one at a time: four racing split() calls each either
+  // publish one split or refuse, and the abstract set is untouched.
+  ShardedTrie t(1024, 2);
   std::set<Key> ref;
-  for (Key k = 1; k < 512; k += 3) {
+  for (Key k = 0; k < 1024; k += 5) {
     t.insert(k);
     ref.insert(k);
   }
-  // Abandon after the first batch (the moved range [128,256) is two
-  // batches wide): split() reports failure, the table is unchanged, but
-  // the half-moved range stays fully queryable.
-  int calls = 0;
-  EXPECT_FALSE(t.split(0, [&](Key) { return calls++ < 1; }));
-  EXPECT_EQ(t.shard_count(), 2);
-  EXPECT_TRUE(t.resharding_in_flight());
-  expect_matches(t, ref);
-  t.insert(150);  // below the parked watermark: routes to the dst
-  ref.insert(150);
-  expect_matches(t, ref);
-  // A later split() of the same range adopts the resident migration and
-  // finishes it from the watermark.
-  EXPECT_TRUE(t.split(0));
-  EXPECT_FALSE(t.resharding_in_flight());
-  EXPECT_EQ(t.shard_count(), 3);
-  EXPECT_EQ(t.reshard_count(), 1u);
-  expect_matches(t, ref);
-}
-
-TEST(Resharding, SecondSplitterTakesOverFrozenOwner) {
-  ShardedTrie t(256, 2);
-  std::set<Key> ref;
-  for (Key k = 0; k < 256; k += 2) {
-    t.insert(k);
-    ref.insert(k);
-  }
-  std::atomic<bool> frozen{false};
-  std::atomic<bool> release{false};
-  std::thread owner([&] {
-    // Freezes forever (until released); models a stalled splitter. Its
-    // split() must return false — the takeover moved the seq from under
-    // it — and must NOT double-publish.
-    const bool ok = t.split(1, [&](Key) {
-      frozen.store(true);
-      while (!release.load()) std::this_thread::yield();
-      return true;
+  const int before = t.shard_count();
+  std::atomic<int> go{0};
+  std::atomic<int> published{0};
+  std::vector<std::thread> splitters;
+  for (int w = 0; w < 4; ++w) {
+    splitters.emplace_back([&, w] {
+      go.fetch_add(1);
+      while (go.load() < 4) std::this_thread::yield();
+      if (t.split(w % 2)) published.fetch_add(1);
     });
-    EXPECT_FALSE(ok);
-  });
-  while (!frozen.load()) std::this_thread::yield();
-  // Second caller joins the in-flight split, seizes ownership and
-  // finishes the migration while the first owner is still wedged.
-  EXPECT_TRUE(t.split(1));
-  EXPECT_EQ(t.shard_count(), 3);
-  EXPECT_EQ(t.reshard_count(), 1u);
-  expect_matches(t, ref);
-  release.store(true);
-  owner.join();
-  EXPECT_EQ(t.reshard_count(), 1u);  // still exactly one publication
+  }
+  for (auto& th : splitters) th.join();
+  EXPECT_EQ(published.load(), t.shard_count() - before);
+  EXPECT_EQ(t.reshard_count(), static_cast<uint64_t>(published.load()));
+  EXPECT_FALSE(t.resharding_in_flight());
   expect_matches(t, ref);
 }
 
@@ -441,14 +410,8 @@ TEST(Resharding, SingleWriterOracleAcrossCrawlingSplit) {
   std::thread splitter([&] {
     // Repeated crawling splits and merges until the writer finishes.
     while (!writer_done.load()) {
-      t.split(0, [&](Key) {
-        std::this_thread::yield();
-        return true;
-      });
-      t.merge(0, [&](Key) {
-        std::this_thread::yield();
-        return true;
-      });
+      t.split(0, [&](Key) { std::this_thread::yield(); });
+      t.merge(0, [&](Key) { std::this_thread::yield(); });
     }
   });
   // Fixed per-reader query counts (not "until the writer stops"): the
