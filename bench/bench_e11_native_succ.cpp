@@ -124,8 +124,7 @@ int main() {
 
   // The headline table: pure update throughput — exactly the work the
   // double-write path doubles. Sampled per-op latency percentiles ride
-  // along (updates are half deletes here) so this panel and E12's
-  // delete-cost panel share one comparable shape.
+  // along (updates are half deletes here).
   table_header("update-heavy (i50/d50), thread sweep, uniform",
                /*latency_panel=*/true);
   for (int threads : {1, 2, 4, 8}) {

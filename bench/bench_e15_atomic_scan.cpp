@@ -13,9 +13,7 @@
 // split/merge churn in flight) and every atomic report must match some
 // state version alive during the scan. A scan that claims atomic=true
 // but reports a window no reachable state ever had is a correctness bug,
-// not a slow bench. The audit needs no step counters, so it gates in
-// TRIE_STATS=OFF builds too; the retry/fallback panels report zeros
-// there (counters compiled out), which CI's stats-off smoke tolerates.
+// not a slow bench. The audit checks answers, not step counters.
 // Rows go to BENCH_E15.json.
 #include <atomic>
 #include <chrono>

@@ -77,10 +77,10 @@ class JsonRows {
             r.mops_per_sec));
   }
 
-  /// Record shape for latency-panelled experiments (E11/E12): the
-  /// standard result fields plus sampled per-op latency percentiles in
+  /// Record shape for latency-panelled experiments (E11): the standard
+  /// result fields plus sampled per-op latency percentiles in
   /// nanoseconds (cfg.sample_latency must have been set; zeros
-  /// otherwise). E11 and E12 share this shape so their panels diff.
+  /// otherwise).
   void add_latency_result(const char* structure, int shards, int threads,
                           const OpMix& mix, const char* dist,
                           const BenchResult& r) {

@@ -8,9 +8,7 @@
 #
 # Environment:
 #   LFBT_SMOKE_BENCHES     space-separated subset to run (default: all
-#                          self-checking benches E9..E17) — the
-#                          TRIE_STATS=OFF CI job uses this to run only
-#                          the benches whose gates don't need counters;
+#                          self-checking benches E9..E17);
 #   LFBT_BENCH_MAX_THREADS thread cap passed through (default 2, the CI
 #                          smoke convention);
 #   BENCH_LOG_DIR          where per-bench logs go (default
@@ -26,8 +24,8 @@ set -u
 BENCH_DIR="${1:-build/bench}"
 LOG_DIR="${BENCH_LOG_DIR:-$BENCH_DIR/smoke-logs}"
 DEFAULT_BENCHES="bench_e9_sharded bench_e10_range bench_e11_native_succ \
-bench_e12_delete_cost bench_e13_memory bench_e14_resharding \
-bench_e15_atomic_scan bench_e16_service bench_e17_keys"
+bench_e13_memory bench_e14_resharding bench_e15_atomic_scan \
+bench_e16_service bench_e17_keys"
 BENCHES="${LFBT_SMOKE_BENCHES:-$DEFAULT_BENCHES}"
 export LFBT_BENCH_MAX_THREADS="${LFBT_BENCH_MAX_THREADS:-2}"
 

@@ -31,6 +31,7 @@ SUITES=(
   "test_lockfree_trie_concurrent *SingleWriterOracle*"
   "test_successor SuccessorLinearizability.*"
   "test_serve *WingGong*"
+  "test_fused_query FusedQueryLinearizability.*:*StalledFusedDeleteUnderConcurrentQueries"
 )
 
 fail=0

@@ -9,29 +9,31 @@
 namespace lfbt {
 namespace {
 
-/// Directional candidate combiner: keeps the largest key for predecessor
-/// queries and the smallest for successor queries; kNoKey means "no
-/// candidate yet" and never beats a real key.
-void consider(Key& best, Key cand, bool is_pred) {
+/// True iff key `k` lies on side `side` of `y`: below it on kPredSide,
+/// above it on kSuccSide.
+bool on_side(Key k, Key y, int side) {
+  return side == kPredSide ? k < y : k > y;
+}
+
+/// Directional candidate combiner: keeps the largest key on the
+/// predecessor side and the smallest on the successor side; kNoKey means
+/// "no candidate yet" and never beats a real key.
+void consider(Key& best, Key cand, int side) {
   if (cand == kNoKey) return;
-  if (best == kNoKey) {
-    best = cand;
-  } else {
-    best = is_pred ? std::max(best, cand) : std::min(best, cand);
-  }
+  if (best == kNoKey || on_side(best, cand, side)) best = cand;
 }
 
 template <class Vec>
-void consider_all(Key& best, const Vec& v, bool is_pred) {
-  for (const UpdateNode* n : v) consider(best, n->key, is_pred);
+void consider_all(Key& best, const Vec& v, int side) {
+  for (const UpdateNode* n : v) consider(best, n->key, side);
 }
 
 /// CAS-fold `k` into a directional aggregate word: keep the largest key
-/// for the predecessor-facing aggregate, the smallest for the
-/// successor-facing one (kNoKey = empty).
-void fold_extremum(std::atomic<Key>& agg, Key k, bool is_pred) {
+/// for the predecessor-side aggregate, the smallest for the
+/// successor-side one (kNoKey = empty).
+void fold_extremum(std::atomic<Key>& agg, Key k, int side) {
   Key w = agg.load();
-  while (w == kNoKey || (is_pred ? w < k : w > k)) {
+  while (w == kNoKey || on_side(w, k, side)) {
     if (agg.compare_exchange_weak(w, k)) return;
   }
 }
@@ -39,66 +41,61 @@ void fold_extremum(std::atomic<Key>& agg, Key k, bool is_pred) {
 /// One step of the online TL walk over a capped announcement's
 /// suppressed notifications (PredecessorNode::agg_tl): an INS folds its
 /// key as the directional extremum; a DEL whose key equals the current
-/// aggregate applies its TL edge, stepping the aggregate to delPred2 /
-/// delSucc2 — the same move the uncapped fallback's walk would make. A
-/// DEL of any other key is a no-op: it deletes a key the aggregate is
-/// not standing on.
-void fold_tl(std::atomic<Key>& agg, UpdateNode* u, bool is_pred) {
+/// aggregate applies its TL edge, stepping the aggregate to its second
+/// embedded query's answer on this side — the same move the uncapped
+/// fallback's walk would make. A DEL of any other key is a no-op: it
+/// deletes a key the aggregate is not standing on.
+void fold_tl(std::atomic<Key>& agg, UpdateNode* u, int side) {
   if (u->type == NodeType::kIns) {
-    fold_extremum(agg, u->key, is_pred);
+    fold_extremum(agg, u->key, side);
     return;
   }
   auto* dn = static_cast<DelNode*>(u);
   Key w = agg.load();
   while (w == u->key) {
-    // DEL nodes reach the notify stage only after delPred2/delSucc2 are
-    // written (l.201 + mirror precede l.203); guard anyway.
-    const Key d2 = is_pred ? dn->del_pred2.load() : dn->del_succ2.load();
+    // DEL nodes reach the notify stage only after del_ans2 is written
+    // (l.201 + mirror precede l.203); guard anyway.
+    const Key d2 = dn->del_ans2[side].load();
     if (d2 == kUnsetPred) return;
     if (agg.compare_exchange_weak(w, d2)) return;
   }
 }
 
-/// The threshold / U-ALL extremum of notification `nn` as seen by
-/// direction `is_pred` of its target `p`: a fused target keeps the
-/// successor direction's pair in the *_succ mirrors, a single-direction
-/// target uses the base fields for its own direction.
-Key notify_threshold_for(const PredecessorNode* p, const NotifyNode* nn,
-                         bool is_pred) {
-  return p->dir == QueryDir::kBoth && !is_pred ? nn->notify_threshold_succ
-                                               : nn->notify_threshold;
-}
-UpdateNode* notify_ext_for(const PredecessorNode* p, const NotifyNode* nn,
-                           bool is_pred) {
-  return p->dir == QueryDir::kBoth && !is_pred ? nn->update_node_ext_succ
-                                               : nn->update_node_ext;
+/// Paper l.153 and its mirror: pin and return the INS node of the
+/// ascending U-ALL snapshot `ins` nearest `y` on `side` (largest key < y
+/// / smallest key > y); null if there is none or its pin fails.
+template <class Vec>
+UpdateNode* pin_nearest_ins(const Vec& ins, Key y, int side) {
+  const std::size_t n = ins.size();
+  for (std::size_t j = 0; j < n; ++j) {
+    UpdateNode* cand = ins[side == kPredSide ? n - 1 - j : j];
+    if (on_side(cand->key, y, side)) return cand->try_pin() ? cand : nullptr;
+  }
+  return nullptr;
 }
 
-/// One direction's share of the notify-list pass (paper l.218–227 and
-/// its mirror): acceptance tests are the paper's, reflected through the
-/// key order for the successor side; dedup via the scratch seen-sets
-/// replaces the old push_unique scans.
-void accept_notification(const PredecessorNode* p, const NotifyNode* nn,
-                         bool is_pred, DirScratch& ds) {
-  const Key thr = notify_threshold_for(p, nn, is_pred);
+/// One side's share of the notify-list pass (paper l.218–227 and its
+/// mirror): acceptance tests are the paper's, reflected through the key
+/// order on the successor side; dedup via the scratch seen-sets replaces
+/// the old push_unique scans.
+void accept_notification(const NotifyNode* nn, int side, DirScratch& ds) {
+  const Key thr = nn->threshold[side];
   if (nn->update_node->type == NodeType::kIns) {
-    const bool accept = is_pred ? thr <= nn->key : thr >= nn->key;
-    if (accept && ds.i_notify_seen.insert(nn->update_node)) {
+    if (!on_side(nn->key, thr, side) &&
+        ds.i_notify_seen.insert(nn->update_node)) {
       ds.i_notify.push_back(nn->update_node);
     }
-  } else {
-    const bool accept = is_pred ? thr < nn->key : thr > nn->key;
-    if (accept && ds.d_notify_seen.insert(nn->update_node)) {
-      ds.d_notify.push_back(nn->update_node);
-    }
+  } else if (on_side(thr, nn->key, side) &&
+             ds.d_notify_seen.insert(nn->update_node)) {
+    ds.d_notify.push_back(nn->update_node);
   }
   // l.226–227: accept the notifier's U-ALL extremum when we were past
   // the position-list end at notification time and the notifier itself
   // is not an update we already account for via the position list.
-  const Key end_threshold = is_pred ? kNegInf : kPosInf;
+  const Key end_threshold = side == kPredSide ? kNegInf : kPosInf;
   if (thr == end_threshold && !ds.i_pos_set.contains(nn->update_node) &&
       !ds.d_pos_set.contains(nn->update_node)) {
-    UpdateNode* ext = notify_ext_for(p, nn, is_pred);
+    UpdateNode* ext = nn->ext[side];
     if (ext != nullptr && ds.i_notify_seen.insert(ext)) {
       ds.i_notify.push_back(ext);
     }
@@ -111,9 +108,10 @@ LockFreeBinaryTrie::LockFreeBinaryTrie(Key universe)
     : core_(universe, arena_),
       quarantine_(new CellQuarantine),
       uall_(kUall, /*descending=*/false, /*quarantine=*/nullptr),
-      ruall_(kRuall, /*descending=*/true, quarantine_),
-      suall_(kSuall, /*descending=*/false, quarantine_) {
-  quarantine_->set_roots(&pall_, ruall_.head(), suall_.head());
+      position_lists_{AnnounceList(kRuall, /*descending=*/true, quarantine_),
+                      AnnounceList(kSuall, /*descending=*/false, quarantine_)} {
+  quarantine_->set_roots(&pall_, position_lists_[kPredSide].head(),
+                         position_lists_[kSuccSide].head());
 }
 
 LockFreeBinaryTrie::~LockFreeBinaryTrie() {
@@ -121,8 +119,7 @@ LockFreeBinaryTrie::~LockFreeBinaryTrie() {
   // Cells still chained belong to resident nodes' canonical announcements;
   // quiescence makes the raw walks safe.
   uall_.release_all_cells_for_destruction();
-  ruall_.release_all_cells_for_destruction();
-  suall_.release_all_cells_for_destruction();
+  for (AnnounceList& l : position_lists_) l.release_all_cells_for_destruction();
   // Last: the quarantine flushes what it holds and severs the root
   // pointers into this object; it deletes itself once the final in-flight
   // stage-1 deleter (possibly on another thread's EBR limbo) lands.
@@ -143,14 +140,12 @@ void LockFreeBinaryTrie::announce(UpdateNode* u) {
   // RU-ALL presence once activated; the mirrored argument for successor
   // needs the same of the SU-ALL, and both hold under this one ordering.
   uall_.insert(u);
-  ruall_.insert(u);
-  suall_.insert(u);
+  for (AnnounceList& l : position_lists_) l.insert(u);
 }
 
 void LockFreeBinaryTrie::retract(UpdateNode* u) {
   uall_.remove(u);
-  ruall_.remove(u);
-  suall_.remove(u);
+  for (AnnounceList& l : position_lists_) l.remove(u);
 }
 
 // Paper l.128–136.
@@ -174,11 +169,18 @@ void LockFreeBinaryTrie::help_activate(UpdateNode* u) {
 
 // Paper l.162–180. The guard covers notify_query_ops' P-ALL walk (its
 // targets may be recycled announcement nodes).
-void LockFreeBinaryTrie::insert(Key x) {
+void LockFreeBinaryTrie::insert(Key x) { insert_op<false>(x); }
+
+bool LockFreeBinaryTrie::stall_insert_for_test(Key x) {
+  return insert_op<true>(x);
+}
+
+template <bool Crash>
+bool LockFreeBinaryTrie::insert_op(Key x) {
   assert(x >= 0 && x < core_.universe());
   ebr::Guard guard;
   UpdateNode* d_node = core_.find_latest(x);
-  if (d_node->type != NodeType::kDel) return;  // l.164: x already in S
+  if (d_node->type != NodeType::kDel) return false;  // l.164: x already in S
   UpdateNode* i_node = InsNodePool::acquire(x);
   i_node->latest_next.store(d_node);  // l.167
   // l.168: help stop the Delete the previous Insert targeted (ignore ⊥s).
@@ -191,11 +193,12 @@ void LockFreeBinaryTrie::insert(Key x) {
     size_.fetch_sub(1);                   // lost the claim; x not inserted
     help_activate(core_.read_latest(x));  // l.171
     retire_unpublished(i_node);           // never entered a shared structure
-    return;
+    return false;
   }
   announce(i_node);                                // l.173
   i_node->status.store(UpdateNode::kActive);       // l.174 — linearization
   upd_epoch_.fetch_add(1);  // scan validation: bump after linearization
+  if constexpr (Crash) return true;  // stall point: linearized, then crash
   i_node->latest_next.store(nullptr);              // l.175
   core_.insert_binary_trie(i_node);                // l.176
   notify_query_ops(i_node);                        // l.177
@@ -207,25 +210,33 @@ void LockFreeBinaryTrie::insert(Key x) {
   // `completed` was set, so the self-check closes the gap.
   try_retire_update(d_node);
   try_retire_update(i_node);
+  return true;
 }
 
 // Paper l.181–206 with the embedded queries FUSED: one direction-pair
-// helper before the claiming CAS (producing delPred AND delSucc from a
-// single announce point) and one after activation, before
-// DeleteBinaryTrie (producing delPred2 AND delSucc2) — so, exactly as in
+// helper before the claiming CAS (producing delPred and its mirror from
+// a single announce point) and one after activation, before
+// DeleteBinaryTrie (producing delPred2 and its mirror) — so, exactly as in
 // the paper (l.201 precedes l.203), both second-query results are always
-// written before this DEL node can reach a notify list. Two helper
-// invocations where the pre-fused path ran four.
-void LockFreeBinaryTrie::erase(Key x) {
+// written before this DEL node can reach a notify list.
+void LockFreeBinaryTrie::erase(Key x) { erase_op<false>(x); }
+
+bool LockFreeBinaryTrie::stall_delete_for_test(Key x) {
+  return erase_op<true>(x);
+}
+
+template <bool Crash>
+bool LockFreeBinaryTrie::erase_op(Key x) {
   assert(x >= 0 && x < core_.universe());
   ebr::Guard guard;
   UpdateNode* i_node = core_.find_latest(x);
-  if (i_node->type != NodeType::kIns) return;  // l.183: x not in S
+  if (i_node->type != NodeType::kIns) return false;  // l.183: x not in S
   QueryAnswer q1 = query_helper_fused(x, QueryDir::kBoth);  // l.184 + mirror
   DelNode* d_node = DelNodePool::acquire(x, core_.b());
   d_node->latest_next.store(i_node);     // l.187
-  d_node->del_pred = q1.pred;            // l.188
-  d_node->del_succ = q1.succ;            // mirror of l.188
+  for (int side = 0; side < kNumSides; ++side) {
+    d_node->del_ans[side] = q1.ans[side];  // l.188 + mirror
+  }
   d_node->del_query_node = q1.node;      // l.189 (one node, both directions)
   d_node->del_query_gen = q1.node->gen;
   i_node->latest_next.store(nullptr);    // l.190
@@ -234,7 +245,7 @@ void LockFreeBinaryTrie::erase(Key x) {
     help_activate(core_.read_latest(x));  // l.193
     retire_query_node(q1.node);           // l.194
     retire_unpublished(d_node);           // never entered a shared structure
-    return;
+    return false;
   }
   announce(d_node);                               // l.196
   d_node->status.store(UpdateNode::kActive);      // l.197 — linearization
@@ -245,66 +256,22 @@ void LockFreeBinaryTrie::erase(Key x) {
   }
   d_node->latest_next.store(nullptr);             // l.199
   QueryAnswer q2 = query_helper_fused(x, QueryDir::kBoth);  // l.200 + mirror
-  d_node->del_pred2.store(q2.pred);               // l.201
-  d_node->del_succ2.store(q2.succ);               // mirror of l.201
+  for (int side = 0; side < kNumSides; ++side) {
+    d_node->del_ans2[side].store(q2.ans[side]);   // l.201 + mirror
+  }
+  // Stall point: crash before DeleteBinaryTrie / notify / retract, so
+  // both fused announcements stay in the P-ALL forever.
+  if constexpr (Crash) return true;
   core_.delete_binary_trie(d_node);               // l.202
   notify_query_ops(d_node);                       // l.203
   d_node->completed.store(true);                  // l.204
   retract(d_node);                                // l.205
   retire_query_node(q1.node);                     // l.206
   retire_query_node(q2.node);
-  // Reclamation triggers (see insert()).
+  // Reclamation triggers (see insert_op()).
   try_retire_update(i_node);
   try_retire_update(d_node);
-}
-
-// The PR 3 delete, preserved as the E12 baseline: four single-direction
-// embedded helpers (two per direction — the cost the fused path halves).
-// Correctness is the pre-fused argument; the one representational
-// difference is that del_query_node records the first *predecessor*
-// helper's announcement (the old code kept one node per direction).
-void LockFreeBinaryTrie::erase_unfused_for_bench(Key x) {
-  assert(x >= 0 && x < core_.universe());
-  ebr::Guard guard;
-  UpdateNode* i_node = core_.find_latest(x);
-  if (i_node->type != NodeType::kIns) return;
-  QueryAnswer p1 = query_helper_fused(x, QueryDir::kPred);
-  QueryAnswer s1 = query_helper_fused(x, QueryDir::kSucc);
-  DelNode* d_node = DelNodePool::acquire(x, core_.b());
-  d_node->latest_next.store(i_node);
-  d_node->del_pred = p1.pred;
-  d_node->del_succ = s1.succ;
-  d_node->del_query_node = p1.node;
-  d_node->del_query_gen = p1.node->gen;
-  i_node->latest_next.store(nullptr);
-  notify_query_ops(i_node);
-  if (!core_.cas_latest(x, i_node, d_node)) {
-    help_activate(core_.read_latest(x));
-    retire_query_node(p1.node);
-    retire_query_node(s1.node);
-    retire_unpublished(d_node);
-    return;
-  }
-  announce(d_node);
-  d_node->status.store(UpdateNode::kActive);
-  size_.fetch_sub(1);
-  upd_epoch_.fetch_add(1);
-  if (DelNode* tg = i_node->target.load()) tg->stop.store(true);
-  d_node->latest_next.store(nullptr);
-  QueryAnswer p2 = query_helper_fused(x, QueryDir::kPred);
-  QueryAnswer s2 = query_helper_fused(x, QueryDir::kSucc);
-  d_node->del_pred2.store(p2.pred);
-  d_node->del_succ2.store(s2.succ);
-  core_.delete_binary_trie(d_node);
-  notify_query_ops(d_node);
-  d_node->completed.store(true);
-  retract(d_node);
-  retire_query_node(p1.node);
-  retire_query_node(s1.node);
-  retire_query_node(p2.node);
-  retire_query_node(s2.node);
-  try_retire_update(i_node);
-  try_retire_update(d_node);
+  return true;
 }
 
 // Paper l.137–145 and its successor mirror, fused into ONE pass over the
@@ -332,13 +299,11 @@ void LockFreeBinaryTrie::traverse_uall_fused(Key x, UallBufs* below,
   }
 }
 
-// Paper l.146–155, serving all three announcement kinds: the threshold
-// is the target's current position in each list it traverses (RU-ALL
-// for the predecessor direction, SU-ALL for the successor direction —
-// both for a fused target) and the recorded U-ALL extremum is the
-// directional one per direction (largest INS key below / smallest INS
-// key above the target's key). A fused target receives ONE notify node
-// carrying both directions' pairs.
+// Paper l.146–155, serving all three announcement kinds: per side the
+// target announces, the threshold is its current position in that
+// side's list (RU-ALL / SU-ALL) and the recorded U-ALL extremum is the
+// INS node nearest its key on that side. A fused target receives ONE
+// notify node carrying both sides.
 void LockFreeBinaryTrie::notify_query_ops(UpdateNode* u) {
   QueryScratch& sc = QueryScratch::get();
   sc.notify_uall.clear();
@@ -351,21 +316,16 @@ void LockFreeBinaryTrie::notify_query_ops(UpdateNode* u) {
         PredecessorNode::kNotifyCap) {
       // Cap reached — this announcement belongs to a stalled (or
       // extraordinarily slow) operation. Fold the notification into the
-      // per-direction aggregates instead of growing the list: no notify
+      // per-side aggregates instead of growing the list: no notify
       // node, no pins, bounded footprint. The first_activated check
       // above plays the role of the push path's l.160 revalidation
       // (same race window: a supersession between check and CAS).
-      if (p->dir != QueryDir::kSucc) {
+      for (int side = 0; side < kNumSides; ++side) {
+        if (!has_side(p->dir, side)) continue;
         if (u->type == NodeType::kIns) {
-          fold_extremum(p->agg_present[0], u->key, true);
+          fold_extremum(p->agg_present[side], u->key, side);
         }
-        fold_tl(p->agg_tl[0], u, true);
-      }
-      if (p->dir != QueryDir::kPred) {
-        if (u->type == NodeType::kIns) {
-          fold_extremum(p->agg_present[1], u->key, false);
-        }
-        fold_tl(p->agg_tl[1], u, false);
+        fold_tl(p->agg_tl[side], u, side);
       }
       continue;
     }
@@ -386,44 +346,19 @@ void LockFreeBinaryTrie::notify_query_ops(UpdateNode* u) {
     }
     n->key = u->key;
     n->update_node = u;
-    if (p->dir != QueryDir::kSucc) {  // predecessor side (kPred / kBoth)
-      // l.153: INS node in the U-ALL snapshot with largest key < p->key.
-      for (std::size_t i = ins.size(); i-- > 0;) {
-        if (ins[i]->key < p->key) {
-          if (ins[i]->try_pin()) n->update_node_ext = ins[i];
-          break;
-        }
-      }
-      // l.154: the query op's current RU-ALL position key.
-      n->notify_threshold =
-          AnnounceList::strip(p->position(QueryDir::kPred).read())->key;
-    }
-    if (p->dir != QueryDir::kPred) {  // successor side (kSucc / kBoth)
-      // Mirror of l.153: INS node with smallest key > p->key.
-      UpdateNode* ext = nullptr;
-      for (UpdateNode* cand : ins) {
-        if (cand->key > p->key) {
-          if (cand->try_pin()) ext = cand;
-          break;
-        }
-      }
-      const Key thr =
-          AnnounceList::strip(p->position(QueryDir::kSucc).read())->key;
-      if (p->dir == QueryDir::kBoth) {
-        n->update_node_ext_succ = ext;
-        n->notify_threshold_succ = thr;
-      } else {
-        n->update_node_ext = ext;
-        n->notify_threshold = thr;
-      }
+    for (int side = 0; side < kNumSides; ++side) {
+      if (!has_side(p->dir, side)) continue;
+      n->ext[side] = pin_nearest_ins(ins, p->key, side);  // l.153
+      // l.154: the query op's current position-list key on this side.
+      n->threshold[side] = AnnounceList::strip(p->position[side].read())->key;
     }
     // l.156–161: publish, revalidating first-activation before the CAS.
     bool sent = NotifyList::push(p, n, [&] { return core_.first_activated(u); });
     if (!sent) {
       unpin_update(u);  // abandoned: give the pins and the node back
-      if (n->update_node_ext != nullptr) unpin_update(n->update_node_ext);
-      if (n->update_node_ext_succ != nullptr)
-        unpin_update(n->update_node_ext_succ);
+      for (UpdateNode* ext : n->ext) {
+        if (ext != nullptr) unpin_update(ext);
+      }
       NotifyNodePool::release(n);
       return;
     }
@@ -431,30 +366,29 @@ void LockFreeBinaryTrie::notify_query_ops(UpdateNode* u) {
   }
 }
 
-// Paper l.257–269 and its mirror. Advances the direction's position word
+// Paper l.257–269 and its mirror. Advances the side's position word
 // with atomic copies and collects first-activated update nodes on that
-// side of the key: key < p->key walking the descending RU-ALL for the
-// predecessor direction, key > p->key walking the ascending SU-ALL for
-// the successor direction. Each node appears at most once (canonical
-// cells, strictly advancing single-writer position), so the sorted-set
-// inserts serve as the membership index, not as dedup.
-void LockFreeBinaryTrie::traverse_position_list(PredecessorNode* p,
-                                                bool is_pred, DirScratch& ds) {
-  AnnounceList& list = is_pred ? ruall_ : suall_;
-  const int slot = is_pred ? kRuall : kSuall;
-  AtomicCopyWord& pos = p->position(is_pred ? QueryDir::kPred : QueryDir::kSucc);
+// side of the key: key < p->key walking the descending RU-ALL on the
+// predecessor side, key > p->key walking the ascending SU-ALL on the
+// successor side. Each node appears at most once (canonical cells,
+// strictly advancing single-writer position), so the sorted-set inserts
+// serve as the membership index, not as dedup.
+void LockFreeBinaryTrie::traverse_position_list(PredecessorNode* p, int side,
+                                                DirScratch& ds) {
+  AnnounceList& list = position_lists_[side];
+  AtomicCopyWord& pos = p->position[side];
   const Key y = p->key;
   AnnCell* u = AnnounceList::strip(pos.read());
   do {
     pos.copy(list.next_word(u));  // l.262 — atomic copy
     u = AnnounceList::strip(pos.read());
     Stats::count_read();
-    if (u != list.tail() && (is_pred ? u->key < y : u->key > y)) {
+    if (u != list.tail() && on_side(u->key, y, side)) {
       UpdateNode* n = u->node;
       // Canonicity check (`ann_cell == u`) filters cells spliced by
       // helpers that lost the announcement claim; see announce_list.hpp.
       if (n->status.load() != UpdateNode::kInactive &&
-          n->ann_cell[slot].load() == u && core_.first_activated(n)) {
+          n->ann_cell[kRuall + side].load() == u && core_.first_activated(n)) {
         if (n->type == NodeType::kIns) {
           ds.i_pos_set.insert(n);
         } else if (ds.d_pos_set.insert(n)) {
@@ -466,25 +400,22 @@ void LockFreeBinaryTrie::traverse_position_list(PredecessorNode* p,
 }
 
 // Paper l.207–252 (PredHelper) and its key-order mirror, FUSED: one
-// P-ALL announcement (tagged with `dir`), one Q snapshot, one pass over
-// the notify list and one pass over the U-ALL serve every direction the
-// caller asked for. With dir == kPred or kSucc the other side is inert
-// and this is exactly the pre-fused single-direction helper (the paper's
+// P-ALL announcement (tagged with the side mask `dir`), one Q snapshot,
+// one pass over the notify list and one pass over the U-ALL serve every
+// side the caller asked for. With dir == kPred or kSucc the other side
+// is inert and this is exactly the single-direction helper (the paper's
 // algorithm, reflected for kSucc), so predecessor()/successor() keep
-// their proofs. With dir == kBoth the two directions share the announce
-// point; each direction's acceptance tests, candidate sets and fallback
-// are evaluated independently against that one announcement — see
+// their proofs. With dir == kBoth the two sides share the announce
+// point; each side's acceptance tests, candidate sets and fallback are
+// evaluated independently against that one announcement — see
 // docs/DESIGN.md, "Fused bidirectional embedded queries".
 LockFreeBinaryTrie::QueryAnswer LockFreeBinaryTrie::query_helper_fused(
     Key y, QueryDir dir) {
-  const bool want_pred = dir != QueryDir::kSucc;
-  const bool want_succ = dir != QueryDir::kPred;
   Stats::count_query_helper(dir == QueryDir::kBoth);
 
   QueryScratch& sc = QueryScratch::get();
   PredecessorNode* p_node = nullptr;
-  Key r0_pred = kNoKey;
-  Key r0_succ = kNoKey;
+  Key r0[kNumSides] = {kNoKey, kNoKey};
 
   // The helper body runs in a valve loop: if our OWN announcement's
   // notify list hit the cap (kNotifyCap completed updates landed inside
@@ -500,15 +431,13 @@ LockFreeBinaryTrie::QueryAnswer LockFreeBinaryTrie::query_helper_fused(
     sc.reset_query();
 
     p_node = QueryNodePool::acquire(y, dir);
-    if (want_pred) {
-      p_node->position(QueryDir::kPred)
-          .store(AnnounceList::pack(ruall_.head()));
+    for (int side = 0; side < kNumSides; ++side) {
+      if (has_side(dir, side)) {
+        p_node->position[side].store(
+            AnnounceList::pack(position_lists_[side].head()));
+      }
     }
-    if (want_succ) {
-      p_node->position(QueryDir::kSucc)
-          .store(AnnounceList::pack(suall_.head()));
-    }
-    pall_.push(p_node);  // l.209 — the ONE announce point for all directions
+    pall_.push(p_node);  // l.209 — the ONE announce point for all sides
 
     // l.210–214: snapshot the P-ALL suffix. Kept newest-first (raw chain
     // order); the fallback's oldest-first scans iterate it backwards, which
@@ -520,95 +449,96 @@ LockFreeBinaryTrie::QueryAnswer LockFreeBinaryTrie::query_helper_fused(
       sc.q.push_back(it);
     }
 
-    if (want_pred) traverse_position_list(p_node, true, sc.side[0]);  // l.215
-    if (want_succ) traverse_position_list(p_node, false, sc.side[1]);
-    r0_pred = want_pred ? core_.relaxed_predecessor(y) : kNoKey;  // l.216
-    r0_succ = want_succ ? core_.relaxed_successor(y) : kNoKey;
-    traverse_uall_fused(y, want_pred ? &sc.side[0].uall : nullptr,  // l.217
-                        want_succ ? &sc.side[1].uall : nullptr);
+    // Each side keeps the paper's order: position list, then relaxed
+    // traversal, then (below, shared) the U-ALL and the notify list.
+    for (int side = 0; side < kNumSides; ++side) {
+      if (!has_side(dir, side)) continue;
+      traverse_position_list(p_node, side, sc.side[side]);  // l.215
+      r0[side] = side == kPredSide ? core_.relaxed_predecessor(y)  // l.216
+                                   : core_.relaxed_successor(y);
+    }
+    traverse_uall_fused(  // l.217
+        y, has_side(dir, kPredSide) ? &sc.side[kPredSide].uall : nullptr,
+        has_side(dir, kSuccSide) ? &sc.side[kSuccSide].uall : nullptr);
 
     // l.218–227 and its mirror in ONE pass: each notification is offered
-    // to every direction whose window contains its key, under that
-    // direction's threshold/extremum (notify_threshold_for). The head
-    // snapshot (Cnotify) is shared — both directions see the same prefix.
+    // to every side whose window contains its key, under that side's
+    // threshold/extremum. The head snapshot (Cnotify) is shared — both
+    // sides see the same prefix.
     for (NotifyNode* nn = NotifyList::head(p_node); nn != nullptr;
          nn = nn->next.load()) {
-      if (want_pred && nn->key < y) accept_notification(p_node, nn, true, sc.side[0]);
-      if (want_succ && nn->key > y) accept_notification(p_node, nn, false, sc.side[1]);
+      for (int side = 0; side < kNumSides; ++side) {
+        if (has_side(dir, side) && on_side(nn->key, y, side)) {
+          accept_notification(nn, side, sc.side[side]);
+        }
+      }
     }
 
     if (!p_node->notify_capped() || attempt >= kMaxCapRetries) break;
     retire_query_node(p_node);
   }
 
-  if (p_node->notify_capped()) {
-    // Retries exhausted: recover the suppressed in-window extremum as an
-    // extra r1 candidate per direction. agg_present keys were folded by
-    // first-activated (hence then-present) INS updates inside this
-    // announcement's window, which is exactly this helper's window — a
-    // valid linearizable candidate once clamped to the window.
-    if (want_pred) {
-      const Key a = p_node->agg_present[0].load();
-      if (a != kNoKey && a < y) sc.side[0].notify_agg = a;
-    }
-    if (want_succ) {
-      const Key a = p_node->agg_present[1].load();
-      if (a != kNoKey && a > y) sc.side[1].notify_agg = a;
-    }
-  }
-
   QueryAnswer out;
   out.node = p_node;
-  if (want_pred) {
-    out.pred = direction_answer(y, true, p_node, r0_pred, sc, sc.side[0]);
-  }
-  if (want_succ) {
-    out.succ = direction_answer(y, false, p_node, r0_succ, sc, sc.side[1]);
+  const bool capped = p_node->notify_capped();
+  for (int side = 0; side < kNumSides; ++side) {
+    if (!has_side(dir, side)) continue;
+    DirScratch& ds = sc.side[side];
+    if (capped) {
+      // Retries exhausted: recover the suppressed in-window extremum as
+      // an extra r1 candidate. agg_present keys were folded by
+      // first-activated (hence then-present) INS updates inside this
+      // announcement's window, which is exactly this helper's window — a
+      // valid linearizable candidate once clamped to the window.
+      const Key a = p_node->agg_present[side].load();
+      if (a != kNoKey && on_side(a, y, side)) ds.notify_agg = a;
+    }
+    out.ans[side] = direction_answer(y, side, p_node, r0[side], sc, ds);
   }
   return out;  // l.252
 }
 
-// Paper l.228–252 for one direction: combine the announcement-derived
+// Paper l.228–252 for one side: combine the announcement-derived
 // candidate sets into r1, resolve a ⊥ from the relaxed traversal through
 // the fallback, and take the directional extremum.
-Key LockFreeBinaryTrie::direction_answer(Key y, bool is_pred,
+Key LockFreeBinaryTrie::direction_answer(Key y, int side,
                                          PredecessorNode* p_node, Key r0,
                                          QueryScratch& sc, DirScratch& ds) {
   // l.228: r1 over Iuall ∪ Inotify ∪ (Duall − Dpos) ∪ (Dnotify − Dpos),
   // taking the directional extremum (max below y / min above y).
   Key r1 = kNoKey;
-  consider_all(r1, ds.uall.ins, is_pred);
-  consider_all(r1, ds.i_notify, is_pred);
+  consider_all(r1, ds.uall.ins, side);
+  consider_all(r1, ds.i_notify, side);
   for (UpdateNode* n : ds.uall.del) {
-    if (!ds.d_pos_set.contains(n)) consider(r1, n->key, is_pred);
+    if (!ds.d_pos_set.contains(n)) consider(r1, n->key, side);
   }
   for (UpdateNode* n : ds.d_notify) {
-    if (!ds.d_pos_set.contains(n)) consider(r1, n->key, is_pred);
+    if (!ds.d_pos_set.contains(n)) consider(r1, n->key, side);
   }
   // Capped own announcement (valve retries exhausted): the suppressed
   // in-window INS extremum joins the candidate set.
-  consider(r1, ds.notify_agg, is_pred);
+  consider(r1, ds.notify_agg, side);
 
   // l.230–251: the trie traversal was blocked by concurrent updates.
   if (r0 == kBottom) {
-    r0 = ds.d_pos.empty() ? kNoKey : bottom_fallback(y, is_pred, p_node, sc, ds);
+    r0 = ds.d_pos.empty() ? kNoKey : bottom_fallback(y, side, p_node, sc, ds);
   }
-  consider(r1, r0, is_pred);
+  consider(r1, r0, side);
   return r1;
 }
 
-// Paper l.231–251, parameterized by direction: recover a candidate from
+// Paper l.231–251, parameterized by side: recover a candidate from
 // embedded-query results when the relaxed traversal returned ⊥ and old
 // deletes (Dpos: the Druall of the paper, or its SU-ALL mirror) are in
-// flight. The TL graph's edges are key -> delPred2 for predecessor
-// queries (strictly decreasing) and key -> delSucc2 for successor ones
-// (strictly increasing); either way walks terminate at sinks. Every
-// working set lives in the per-thread scratch; membership tests are
-// sorted-set probes.
-Key LockFreeBinaryTrie::bottom_fallback(Key y, bool is_pred,
+// flight. The TL graph's edges are key -> del_ans2[side]: strictly
+// decreasing on the predecessor side (the paper's delPred2), strictly
+// increasing on the successor side; either way walks terminate at
+// sinks. Every working set lives in the per-thread scratch; membership
+// tests are sorted-set probes.
+Key LockFreeBinaryTrie::bottom_fallback(Key y, int side,
                                         PredecessorNode* p_node,
                                         QueryScratch& sc, DirScratch& ds) {
-  auto in_window = [&](Key k) { return is_pred ? k < y : k > y; };
+  auto in_window = [&](Key k) { return on_side(k, y, side); };
 
   // l.232–234: the earliest-announced embedded-query node of a Dpos
   // delete that we saw in the P-ALL. sc.q is newest-first, so walk it
@@ -654,9 +584,8 @@ Key LockFreeBinaryTrie::bottom_fallback(Key y, bool is_pred,
        nn = nn->next.load()) {
     if (!in_window(nn->key)) continue;
     sc.l1.remove_value(nn->update_node);
-    const Key thr = notify_threshold_for(p_node, nn, is_pred);
-    const bool rejected_side = is_pred ? thr >= nn->key : thr <= nn->key;
-    if (rejected_side && sc.l_seen.insert(nn->update_node)) {
+    const bool rejected = !on_side(nn->threshold[side], nn->key, side);
+    if (rejected && sc.l_seen.insert(nn->update_node)) {
       sc.l2.push_back(nn->update_node);
     }
   }
@@ -678,8 +607,8 @@ Key LockFreeBinaryTrie::bottom_fallback(Key y, bool is_pred,
   }
   sc.l_filtered.reverse();
 
-  // Definition 5.1: TL = (V, E), E = {key -> delPred2} (or delSucc2) for
-  // DEL nodes in L. After l.243 there is at most one DEL node (hence one
+  // Definition 5.1: TL = (V, E), E = {key -> del_ans2[side]} for DEL
+  // nodes in L. After l.243 there is at most one DEL node (hence one
   // outgoing edge) per key, and every edge strictly moves away from y
   // (down-key for predecessor, up-key for successor), so walks from X
   // terminate at sinks. Edges are sorted by source for binary search.
@@ -687,9 +616,9 @@ Key LockFreeBinaryTrie::bottom_fallback(Key y, bool is_pred,
   for (UpdateNode* n : sc.l_filtered) {
     if (n->type == NodeType::kDel) {
       auto* dn = static_cast<DelNode*>(n);
-      Key d2 = is_pred ? dn->del_pred2.load() : dn->del_succ2.load();
-      // DEL nodes reach notify lists only after delPred2/delSucc2 are
-      // written (l.201 + mirror precede l.203); guard anyway.
+      Key d2 = dn->del_ans2[side].load();
+      // DEL nodes reach notify lists only after del_ans2 is written
+      // (l.201 + mirror precede l.203); guard anyway.
       if (d2 != kUnsetPred) sc.edges.push_back({n->key, d2});
     }
   }
@@ -704,12 +633,11 @@ Key LockFreeBinaryTrie::bottom_fallback(Key y, bool is_pred,
     return it != sc.edges.end() && it->from == v ? &it->to : nullptr;
   };
 
-  // l.247–248: X = {delPred/delSucc of Dpos deletes} ∪ {keys of INS
+  // l.247–248: X = {del_ans[side] of Dpos deletes} ∪ {keys of INS
   // nodes in L}.
   sc.x_set.clear();
   for (UpdateNode* n : ds.d_pos) {
-    auto* dn = static_cast<DelNode*>(n);
-    sc.x_set.push_back(is_pred ? dn->del_pred : dn->del_succ);
+    sc.x_set.push_back(static_cast<DelNode*>(n)->del_ans[side]);
   }
   for (UpdateNode* n : sc.l_filtered) {
     if (n->type == NodeType::kIns) sc.x_set.push_back(n->key);
@@ -721,13 +649,9 @@ Key LockFreeBinaryTrie::bottom_fallback(Key y, bool is_pred,
   // suppressed suffix of L1 would have produced; for our own capped
   // announcement it covers the suppressed part of L2. The walk below
   // still applies the known edges to the seed.
-  const int agg_side = is_pred ? 0 : 1;
-  if (p_prime != nullptr && p_prime->notify_capped()) {
-    const Key a = p_prime->agg_tl[agg_side].load();
-    if (a != kNoKey && in_window(a)) sc.x_set.push_back(a);
-  }
-  if (p_node->notify_capped()) {
-    const Key a = p_node->agg_tl[agg_side].load();
+  for (PredecessorNode* p : {p_prime, p_node}) {
+    if (p == nullptr || !p->notify_capped()) continue;
+    const Key a = p->agg_tl[side].load();
     if (a != kNoKey && in_window(a)) sc.x_set.push_back(a);
   }
 
@@ -744,60 +668,9 @@ Key LockFreeBinaryTrie::bottom_fallback(Key y, bool is_pred,
       if (next == nullptr) break;
       v = *next;
     }
-    if (!sc.key_seen.contains(v)) consider(best, v, is_pred);
+    if (!sc.key_seen.contains(v)) consider(best, v, side);
   }
   return best;
-}
-
-bool LockFreeBinaryTrie::stall_insert_for_test(Key x) {
-  ebr::Guard guard;
-  UpdateNode* d_node = core_.find_latest(x);
-  if (d_node->type != NodeType::kDel) return false;
-  UpdateNode* i_node = InsNodePool::acquire(x);
-  i_node->latest_next.store(d_node);
-  d_node->latest_next.store(nullptr);
-  size_.fetch_add(1);
-  if (!core_.cas_latest(x, d_node, i_node)) {
-    size_.fetch_sub(1);
-    retire_unpublished(i_node);
-    return false;
-  }
-  announce(i_node);
-  i_node->status.store(UpdateNode::kActive);  // linearized — then crash.
-  upd_epoch_.fetch_add(1);  // the membership change did happen
-  return true;
-}
-
-bool LockFreeBinaryTrie::stall_delete_for_test(Key x) {
-  ebr::Guard guard;
-  UpdateNode* i_node = core_.find_latest(x);
-  if (i_node->type != NodeType::kIns) return false;
-  QueryAnswer q1 = query_helper_fused(x, QueryDir::kBoth);
-  DelNode* d_node = DelNodePool::acquire(x, core_.b());
-  d_node->latest_next.store(i_node);
-  d_node->del_pred = q1.pred;
-  d_node->del_succ = q1.succ;
-  d_node->del_query_node = q1.node;
-  d_node->del_query_gen = q1.node->gen;
-  i_node->latest_next.store(nullptr);
-  notify_query_ops(i_node);
-  if (!core_.cas_latest(x, i_node, d_node)) {
-    retire_query_node(q1.node);
-    retire_unpublished(d_node);
-    return false;
-  }
-  announce(d_node);
-  d_node->status.store(UpdateNode::kActive);  // linearized
-  size_.fetch_sub(1);
-  upd_epoch_.fetch_add(1);
-  if (DelNode* tg = i_node->target.load()) tg->stop.store(true);
-  d_node->latest_next.store(nullptr);
-  // Neither fused announcement is ever retired: both stay in the P-ALL
-  // forever, exactly like a crashed thread's.
-  QueryAnswer q2 = query_helper_fused(x, QueryDir::kBoth);
-  d_node->del_pred2.store(q2.pred);
-  d_node->del_succ2.store(q2.succ);
-  return true;  // crash before DeleteBinaryTrie / notify / retract.
 }
 
 // Paper l.253–256: the fused helper with the successor side inert is
@@ -807,7 +680,7 @@ Key LockFreeBinaryTrie::predecessor(Key y) {
   ebr::Guard guard;
   QueryAnswer a = query_helper_fused(y, QueryDir::kPred);
   retire_query_node(a.node);  // l.255
-  return a.pred;
+  return a.ans[kPredSide];
 }
 
 // Mirror of l.253–256: the fused helper with the predecessor side inert.
@@ -816,7 +689,7 @@ Key LockFreeBinaryTrie::successor(Key y) {
   ebr::Guard guard;
   QueryAnswer a = query_helper_fused(y, QueryDir::kSucc);
   retire_query_node(a.node);
-  return a.succ;
+  return a.ans[kSuccSide];
 }
 
 }  // namespace lfbt

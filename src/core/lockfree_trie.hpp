@@ -98,12 +98,6 @@ class LockFreeBinaryTrie {
   /// queries' ⊥-fallbacks in both directions.
   void erase(Key x);
 
-  /// The pre-fused (PR 3) Delete, kept verbatim as the E12 baseline: four
-  /// single-direction embedded query helpers instead of two fused ones.
-  /// Semantically equivalent to erase() (bench/test use only — see
-  /// bench_e12_delete_cost.cpp).
-  void erase_unfused_for_bench(Key x);
-
   /// Paper Predecessor (l.253–256): largest key < y in S at the
   /// linearization point, or kNoKey (-1). y in [0, universe()].
   Key predecessor(Key y);
@@ -165,14 +159,14 @@ class LockFreeBinaryTrie {
   std::size_t memory_reserved() const noexcept { return arena_.bytes_reserved(); }
   TrieCore& core_for_test() noexcept { return core_; }
 
-  /// Test-only fault injection: runs Insert(x) up to and including its
+  /// Test-only fault injection: runs insert(x) up to and including its
   /// activation (linearization, l.174) and then "crashes" — never fixing
   /// the trie bits, notifying, or retracting its announcement. Returns
   /// false if x was already present. Models a thread dying mid-insert;
   /// correctness must then come from the permanent U-ALL announcement.
   bool stall_insert_for_test(Key x);
 
-  /// Test-only fault injection: runs Delete(x) through activation and the
+  /// Test-only fault injection: runs erase(x) through activation and the
   /// second embedded fused query (l.201 + mirror), then "crashes" —
   /// leaving its interpreted bits stale and its two fused announcements
   /// in the P-ALL forever. Models the adversary Section 5's ⊥-fallback
@@ -182,14 +176,21 @@ class LockFreeBinaryTrie {
   bool stall_delete_for_test(Key x);
 
  private:
-  /// What one fused helper invocation returns: the direction answers the
-  /// caller asked for (the inert side stays kNoKey) and the announcement
+  /// What one fused helper invocation returns: the per-side answers the
+  /// caller asked for (an inert side stays kNoKey) and the announcement
   /// node, which the caller must retire via retire_query_node().
   struct QueryAnswer {
-    Key pred = kNoKey;
-    Key succ = kNoKey;
+    Key ans[kNumSides] = {kNoKey, kNoKey};
     PredecessorNode* node = nullptr;
   };
+
+  // The one body of Insert / Delete. With Crash set the operation stops
+  // at its fault-injection point (the stall_*_for_test hooks) and
+  // returns whether it changed the set.
+  template <bool Crash>
+  bool insert_op(Key x);
+  template <bool Crash>
+  bool erase_op(Key x);
 
   void announce(UpdateNode* u);  // insert into U-ALL, RU-ALL, SU-ALL (order!)
   void retract(UpdateNode* u);   // remove in the same order
@@ -199,16 +200,16 @@ class LockFreeBinaryTrie {
   // into *above; either sink may be null (single-direction callers).
   void traverse_uall_fused(Key x, UallBufs* below, UallBufs* above);
   void notify_query_ops(UpdateNode* u);                    // l.146–155
-  void traverse_position_list(PredecessorNode* p, bool is_pred,
+  void traverse_position_list(PredecessorNode* p, int side,
                               DirScratch& ds);             // l.257–269
   // l.207–252 and its mirror, fused: one announcement, one Q snapshot,
   // one notify-list pass and one U-ALL pass answer the direction(s)
   // `dir` selects (kBoth for a Delete's embedded pair; kPred/kSucc run
   // with the other side inert, preserving the single-direction proofs).
   QueryAnswer query_helper_fused(Key y, QueryDir dir);
-  Key direction_answer(Key y, bool is_pred, PredecessorNode* p_node, Key r0,
+  Key direction_answer(Key y, int side, PredecessorNode* p_node, Key r0,
                        QueryScratch& sc, DirScratch& ds);  // l.228–252
-  Key bottom_fallback(Key y, bool is_pred, PredecessorNode* p_node,
+  Key bottom_fallback(Key y, int side, PredecessorNode* p_node,
                       QueryScratch& sc, DirScratch& ds);   // l.230–251
 
   /// Detach a finished query announcement from the P-ALL and hand it to
@@ -240,8 +241,9 @@ class LockFreeBinaryTrie {
   /// detaches. Declared before the lists, which capture the pointer.
   CellQuarantine* quarantine_;
   AnnounceList uall_;
-  AnnounceList ruall_;
-  AnnounceList suall_;  // ascending mirror of the RU-ALL (successor ops)
+  // Per-side position lists: the RU-ALL, and its ascending mirror the
+  // SU-ALL (successor ops).
+  AnnounceList position_lists_[kNumSides];
   PAll pall_;
   // |S| tracker for size()/empty(). Updated only by the thread whose CAS
   // on latest[x] installed the node (helpers never touch it), so every

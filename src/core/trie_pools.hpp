@@ -2,9 +2,9 @@
 // nodes, INS update nodes, DEL update nodes — plus the pin/retire helper
 // verbs the trie and the relaxed core share. Together with QueryNodePool
 // (lists/pall.hpp) these replace every per-operation arena allocation of
-// the lock-free trie; the arena keeps only the bounded populations
-// (dummy nodes, relaxed-trie nodes, announcement cells until PR 6's cell
-// phase).
+// the lock-free trie (announcement cells have their own pool,
+// reclaim/cell_quarantine.hpp); the arena keeps only the bounded
+// populations (dummy nodes, relaxed-trie nodes).
 //
 // Lifecycle of a pooled update node:
 //   acquire (pop or carve, fields reset, pooled bit set)
@@ -51,10 +51,9 @@ class NotifyNodePool {
     if (recycled) {
       n->key = 0;
       n->update_node = nullptr;
-      n->update_node_ext = nullptr;
-      n->notify_threshold = kPosInf;
-      n->update_node_ext_succ = nullptr;
-      n->notify_threshold_succ = kNegInf;
+      n->ext[kPredSide] = n->ext[kSuccSide] = nullptr;
+      n->threshold[kPredSide] = kPosInf;
+      n->threshold[kSuccSide] = kNegInf;
       n->next.store(nullptr);
     }
     return n;
@@ -63,6 +62,18 @@ class NotifyNodePool {
   static void release(NotifyNode* n) { Pool::release(n); }
   static std::size_t allocated_count() { return Pool::allocated_count(); }
 };
+
+/// Reset of the UpdateNode fields a recycled INS or DEL node carries
+/// over from its previous life (the key and the reclaim word are set by
+/// the pools themselves).
+inline void reset_update_base(UpdateNode* n) {
+  n->status.store(UpdateNode::kInactive);
+  n->latest_next.store(nullptr);
+  n->target.store(nullptr);
+  n->stop.store(false);
+  n->completed.store(false);
+  for (int s = 0; s < kNumAnnSlots; ++s) n->ann_cell[s].store(nullptr);
+}
 
 /// Pool of INS update nodes (plain UpdateNode).
 class InsNodePool {
@@ -80,17 +91,8 @@ class InsNodePool {
  public:
   static UpdateNode* acquire(Key key) {
     auto [n, recycled] = Pool::acquire();
-    if (recycled) {
-      n->key = key;
-      n->status.store(UpdateNode::kInactive);
-      n->latest_next.store(nullptr);
-      n->target.store(nullptr);
-      n->stop.store(false);
-      n->completed.store(false);
-      for (int s = 0; s < kNumAnnSlots; ++s) n->ann_cell[s].store(nullptr);
-    } else {
-      n->key = key;
-    }
+    n->key = key;
+    if (recycled) reset_update_base(n);
     n->reclaim.store(UpdateNode::kStateLive | UpdateNode::kPooledBit);
     return n;
   }
@@ -123,19 +125,14 @@ class DelNodePool {
     auto [n, recycled] = Pool::acquire();
     n->key = key;
     if (recycled) {
-      n->status.store(UpdateNode::kInactive);
-      n->latest_next.store(nullptr);
-      n->target.store(nullptr);
-      n->stop.store(false);
-      n->completed.store(false);
-      for (int s = 0; s < kNumAnnSlots; ++s) n->ann_cell[s].store(nullptr);
+      reset_update_base(n);
       n->upper0.store(0);
       n->del_query_node = nullptr;
       n->del_query_gen = 0;
-      n->del_pred = kNoKey;
-      n->del_succ = kNoKey;
-      n->del_pred2.store(kUnsetPred);
-      n->del_succ2.store(kUnsetPred);
+      for (int side = 0; side < kNumSides; ++side) {
+        n->del_ans[side] = kNoKey;
+        n->del_ans2[side].store(kUnsetPred);
+      }
     }
     n->lower1.reset(b + 1);
     n->reclaim.store(UpdateNode::kStateLive | UpdateNode::kPooledBit);
@@ -203,9 +200,9 @@ inline void retire_query_announcement(PredecessorNode* p) {
     while (nn != nullptr) {
       NotifyNode* next = nn->next.load();
       unpin_update(nn->update_node);
-      if (nn->update_node_ext != nullptr) unpin_update(nn->update_node_ext);
-      if (nn->update_node_ext_succ != nullptr)
-        unpin_update(nn->update_node_ext_succ);
+      for (UpdateNode* ext : nn->ext) {
+        if (ext != nullptr) unpin_update(ext);
+      }
       NotifyNodePool::release(nn);  // nested ebr::retire; safe mid-sweep
       nn = next;
     }

@@ -27,7 +27,7 @@ struct PredecessorNode;
 ///
 /// `next` packs a Cell* with a removal mark in bit 1. Bit 0 stays clear:
 /// it is the descriptor tag of AtomicCopyWord, which copies these words
-/// into PredecessorNode::announce_position.
+/// into PredecessorNode::position.
 struct AnnCell {
   Key key = 0;
   UpdateNode* node = nullptr;
@@ -54,19 +54,20 @@ inline AnnCell* const kCellRetracted = reinterpret_cast<AnnCell*>(uintptr_t(1));
 /// Announcement-list slots of UpdateNode::ann_cell. kUall/kRuall are the
 /// paper's lists; kSuall is the ascending successor-direction mirror of
 /// the RU-ALL added by the native symmetric successor (see
-/// core/lockfree_trie.hpp).
+/// core/lockfree_trie.hpp). The position list of query side `s` claims
+/// slot kRuall + s.
 enum : int { kUall = 0, kRuall = 1, kSuall = 2, kNumAnnSlots = 3 };
 
-/// Direction of an announced query operation (paper Predecessor, or its
-/// mirror-image Successor). Selects which position list the operation
-/// traverses (RU-ALL / SU-ALL) and how notifications are filtered.
-/// `kBoth` tags a *fused* direction-pair announcement: one P-ALL node
-/// that answers predecessor AND successor from a single announce point —
-/// the form every Delete embeds (core/lockfree_trie.cpp,
-/// query_helper_fused). A fused announcement carries one position cell
-/// per direction and receives both directions' thresholds/extrema in
-/// each notification.
-enum class QueryDir : uint8_t { kPred = 0, kSucc = 1, kBoth = 2 };
+/// Side mask of an announced query operation: bit `s` set means the
+/// announcement serves side `s`. `kBoth` tags a *fused* direction-pair
+/// announcement: one P-ALL node that answers predecessor AND successor
+/// from a single announce point — the form every Delete embeds
+/// (core/lockfree_trie.cpp, query_helper_fused).
+enum class QueryDir : uint8_t { kPred = 1, kSucc = 2, kBoth = 3 };
+
+inline bool has_side(QueryDir d, int side) noexcept {
+  return (static_cast<unsigned>(d) >> side & 1u) != 0;
+}
 
 /// Paper lines 91–104. INS and DEL nodes share a base; DEL-only fields
 /// live in DelNode.
@@ -193,10 +194,11 @@ struct DelNode : UpdateNode {
   // Every Delete embeds TWO fused direction-pair queries (QueryDir::
   // kBoth): one before the claiming CAS whose announcement node and
   // results are recorded below, one after activation whose results land
-  // in delPred2/delSucc2 (written before DeleteBinaryTrie, l.201 and its
-  // mirror). The predecessor fields feed the ⊥-fallback of predecessor
-  // queries exactly as in the paper; the successor mirrors feed the
-  // reflected TL graph of Definition 5.1 (edges walking up-key).
+  // in del_ans2 (written before DeleteBinaryTrie, l.201 and its mirror).
+  // The kPredSide entries are the paper's delPred/delPred2 and feed the
+  // ⊥-fallback of predecessor queries exactly as in the paper; the
+  // kSuccSide entries feed the reflected TL graph of Definition 5.1
+  // (edges walking up-key).
 
   /// Announcement node of the first embedded fused query (immutable).
   /// Both directions' fallback pointer-matching (paper l.232–234 and its
@@ -211,19 +213,12 @@ struct DelNode : UpdateNode {
   /// algorithm already treats as "announcement no longer present".
   uint64_t del_query_gen = 0;
 
-  /// Result of the first embedded Predecessor (immutable).
-  Key del_pred = kNoKey;
+  /// Per-side results of the first embedded query (immutable).
+  Key del_ans[kNumSides] = {kNoKey, kNoKey};
 
-  /// Result of the first embedded Successor (immutable).
-  Key del_succ = kNoKey;
-
-  /// Result of the second embedded Predecessor; kUnsetPred until written
-  /// (before DeleteBinaryTrie, l.201).
-  std::atomic<Key> del_pred2{kUnsetPred};
-
-  /// Result of the second embedded Successor; kUnsetPred until written
-  /// (before DeleteBinaryTrie, mirroring l.201).
-  std::atomic<Key> del_succ2{kUnsetPred};
+  /// Per-side results of the second embedded query; kUnsetPred until
+  /// written (before DeleteBinaryTrie, l.201).
+  std::atomic<Key> del_ans2[kNumSides] = {kUnsetPred, kUnsetPred};
 };
 
 inline DelNode* UpdateNode::as_del() noexcept {
@@ -232,29 +227,20 @@ inline DelNode* UpdateNode::as_del() noexcept {
 
 /// A notification pushed by an update operation onto an announced query
 /// node's notify list (paper lines 109–113). Immutable after publication.
-/// A notification to a fused (QueryDir::kBoth) target is one node
-/// carrying both directions' thresholds and extrema: the predecessor
-/// direction reads the base fields, the successor direction the *_succ
-/// mirrors. Single-direction targets use the base fields only, with the
-/// target's own direction deciding their meaning (unchanged from the
-/// pre-fused design).
+/// The per-side fields are written for every side the target announces
+/// (one node serves both sides of a fused target); an unwritten side
+/// keeps defaults that fail every acceptance test of that side.
 struct NotifyNode {
   Key key = 0;
   UpdateNode* update_node = nullptr;
-  /// Directional extremum of the notifier's U-ALL snapshot: for a
-  /// predecessor-direction target, the INS node with the largest key <
-  /// the target's key (paper l.153); for a successor-direction target,
-  /// the INS node with the smallest key > the target's key. May be null.
-  UpdateNode* update_node_ext = nullptr;
-  /// Key of the RU-ALL (pred) / SU-ALL (succ) cell the query operation
-  /// was visiting when notified.
-  Key notify_threshold = kPosInf;
-  /// Successor-direction mirrors, written only for kBoth targets: the
-  /// INS node with the smallest key > the target's key, and the target's
-  /// SU-ALL position key at notification time. kNegInf fails every
-  /// successor acceptance test, so an unwritten mirror is inert.
-  UpdateNode* update_node_ext_succ = nullptr;
-  Key notify_threshold_succ = kNegInf;
+  /// Directional extremum of the notifier's U-ALL snapshot: on
+  /// kPredSide the INS node with the largest key < the target's key
+  /// (paper l.153), on kSuccSide the INS node with the smallest key >
+  /// the target's key. May be null.
+  UpdateNode* ext[kNumSides] = {nullptr, nullptr};
+  /// Key of the RU-ALL (kPredSide) / SU-ALL (kSuccSide) cell the query
+  /// operation was visiting when notified (paper l.154).
+  Key threshold[kNumSides] = {kPosInf, kNegInf};
   /// List link while published; free-list link while the node rests in
   /// NotifyNodePool (which is why it is atomic: a losing free-list popper
   /// may read it while the pool's reset overwrites it).
@@ -287,34 +273,20 @@ struct PredecessorNode {
   /// Insert-only list of notifications, newest first.
   std::atomic<NotifyNode*> notify_head{nullptr};
 
-  /// Position-list cell currently visited by this query op — an RU-ALL
-  /// cell for predecessor-direction ops, an SU-ALL cell for
-  /// successor-direction ones; single-writer atomic copy target (see
-  /// atomic_copy.hpp). Holds an AnnCell* word, possibly with the list
-  /// mark (bit 1) set — strip with AnnCell masks. A fused (kBoth)
-  /// announcement keeps its RU-ALL position here and its SU-ALL position
-  /// in `succ_position`; use position() to select.
-  AtomicCopyWord announce_position;
-
-  /// SU-ALL position of a fused announcement (unused otherwise).
-  AtomicCopyWord succ_position;
-
-  /// The position word serving direction `side` (kPred or kSucc) of this
-  /// announcement. Call only for a direction this node actually
-  /// announces.
-  AtomicCopyWord& position(QueryDir side) noexcept {
-    return dir == QueryDir::kBoth && side == QueryDir::kSucc
-               ? succ_position
-               : announce_position;
-  }
+  /// Position-list cell currently visited on each announced side — an
+  /// RU-ALL cell on kPredSide, an SU-ALL cell on kSuccSide (the paper's
+  /// RuallPosition and its mirror); single-writer atomic copy targets
+  /// (see atomic_copy.hpp). Each holds an AnnCell* word, possibly with
+  /// the list mark (bit 1) set — strip with AnnCell masks. Sides `dir`
+  /// does not announce stay 0.
+  AtomicCopyWord position[kNumSides];
 
   // --- Stalled-announcement notify cap (core/lockfree_trie.cpp,
   // notify_query_ops). Once `notify_len` reaches kNotifyCap, notifiers
   // stop allocating notify nodes for this announcement and instead fold
-  // their notification into two per-direction aggregate words, bounding
-  // the footprint an announcement that is never retired (a crashed
-  // operation) can pin. Index 0 is the predecessor-facing aggregate,
-  // index 1 the successor-facing one.
+  // their notification into two per-side aggregate words, bounding the
+  // footprint an announcement that is never retired (a crashed
+  // operation) can pin. Both arrays are indexed by side.
   //
   //  * agg_present[s]: directional extremum (max below / min above) of
   //    the keys of suppressed INS notifications. A first-activated INS
@@ -324,7 +296,7 @@ struct PredecessorNode {
   //  * agg_tl[s]: an online run of the ⊥-fallback's TL walk over the
   //    suppressed suffix — INS keys fold as the directional extremum,
   //    and a DEL whose key equals the current aggregate steps it to the
-  //    delete's delPred2/delSucc2, exactly the edge the uncapped list
+  //    delete's del_ans2 on that side, exactly the edge the uncapped list
   //    would have contributed. Consumed as an extra X seed by
   //    bottom_fallback when this (or the matched embedded) announcement
   //    is capped.
@@ -333,8 +305,8 @@ struct PredecessorNode {
   // residual information-loss adversary this trades for boundedness.
   static constexpr uint32_t kNotifyCap = 512;
   std::atomic<uint32_t> notify_len{0};
-  std::atomic<Key> agg_present[2] = {kNoKey, kNoKey};
-  std::atomic<Key> agg_tl[2] = {kNoKey, kNoKey};
+  std::atomic<Key> agg_present[kNumSides] = {kNoKey, kNoKey};
+  std::atomic<Key> agg_tl[kNumSides] = {kNoKey, kNoKey};
   bool notify_capped() const noexcept {
     return notify_len.load(std::memory_order_acquire) >= kNotifyCap;
   }

@@ -245,13 +245,12 @@ class QueryNodePool {
     n->key = key;
     n->dir = dir;
     n->notify_head.store(nullptr);
-    n->announce_position.store(0);
-    n->succ_position.store(0);
     n->notify_len.store(0);
-    n->agg_present[0].store(kNoKey);
-    n->agg_present[1].store(kNoKey);
-    n->agg_tl[0].store(kNoKey);
-    n->agg_tl[1].store(kNoKey);
+    for (int side = 0; side < kNumSides; ++side) {
+      n->position[side].store(0);
+      n->agg_present[side].store(kNoKey);
+      n->agg_tl[side].store(kNoKey);
+    }
     ++n->gen;
     return n;
   }

@@ -2,7 +2,7 @@
 // draw their cells from, and the per-trie quarantine that makes recycling
 // RU-ALL / SU-ALL cells sound despite their pointers escaping into query
 // announcements' position words (AtomicCopyWord copies of cell `next`
-// words — see sync/atomic_copy.hpp and PredecessorNode::position()).
+// words — see sync/atomic_copy.hpp and PredecessorNode::position).
 //
 // Why U-ALL and RU-ALL/SU-ALL differ:
 //  * U-ALL cell pointers live only in the list chain, in ann_cell[kUall]
@@ -109,11 +109,13 @@ class CellQuarantine {
   CellQuarantine(const CellQuarantine&) = delete;
   CellQuarantine& operator=(const CellQuarantine&) = delete;
 
-  /// Wire the scan roots; call once before any retire (trie constructor).
+  /// Wire the scan roots — the P-ALL and the per-side position lists'
+  /// head sentinels (RU-ALL, SU-ALL); call once before any retire (trie
+  /// constructor).
   void set_roots(PAll* pall, AnnCell* ruall_head, AnnCell* suall_head) {
     pall_ = pall;
-    ruall_head_ = ruall_head;
-    suall_head_ = suall_head;
+    heads_[kPredSide] = ruall_head;
+    heads_[kSuccSide] = suall_head;
   }
 
   /// Stage 1: hand a tombstone-claimed, marked, (best-effort) unlinked
@@ -212,11 +214,12 @@ class CellQuarantine {
       // The guard keeps every P-ALL node reached below unrecycled for the
       // duration of the scan (QueryNodePool's grace discipline).
       ebr::Guard g;
-      std::vector<const AnnCell*> work{ruall_head_, suall_head_};
+      std::vector<const AnnCell*> work(heads_, heads_ + kNumSides);
       for (PredecessorNode* a = pall_->first_raw(); a != nullptr;
            a = PAll::next_raw(a)) {
-        work.push_back(strip(a->announce_position.read()));
-        work.push_back(strip(a->succ_position.read()));
+        for (AtomicCopyWord& pos : a->position) {
+          work.push_back(strip(pos.read()));
+        }
       }
       while (!work.empty()) {
         const AnnCell* c = work.back();
@@ -249,8 +252,7 @@ class CellQuarantine {
   }
 
   PAll* pall_ = nullptr;
-  AnnCell* ruall_head_ = nullptr;
-  AnnCell* suall_head_ = nullptr;
+  AnnCell* heads_[kNumSides] = {nullptr, nullptr};
 
   alignas(kCacheLine) std::atomic<AnnCell*> head_{nullptr};
   std::atomic<std::size_t> count_{0};

@@ -1,7 +1,9 @@
-// Process-wide chunk store: arena chunks and pool slabs are drawn from —
-// and retired back to — one EBR-fed free list, so structure churn
+// Process-wide chunk store: arena chunks are drawn from — and retired
+// back to — one EBR-fed free list, so structure churn
 // (create / fill / destroy) reaches a steady-state footprint instead of
-// growing the heap by a fresh arena per structure lifetime.
+// growing the heap by a fresh arena per structure lifetime. (Pool slabs
+// do not come from here: RecyclePool::grow in reclaim/node_pool.hpp
+// takes them from operator new, and they are immortal.)
 //
 // Design notes:
 //  * Chunks are size-bucketed by power of two and payload sizes are

@@ -191,32 +191,7 @@ class TrieCore {
   ///
   /// y may be `universe()` (one past the largest key) to query the maximum
   /// of the set; in that case the traversal starts at the root.
-  Key relaxed_predecessor(Key y) {
-    uint64_t t;
-    if (static_cast<uint64_t>(y) >= leaf_base_) {
-      if (!interpreted_bit(1)) return kNoKey;
-      t = 1;
-    } else {
-      t = leaf(y);
-      // Climb while t is a left child or its left sibling's bit is 0.
-      while ((t & 1) == 0 || !interpreted_bit(sibling(t))) {
-        t >>= 1;
-        if (t == 1) return kNoKey;
-      }
-      t = sibling(t);  // == t.parent.left, since t is a right child
-    }
-    // Descend the right-most path of interpreted-bit-1 nodes.
-    while (!is_leaf(t)) {
-      if (interpreted_bit(2 * t + 1)) {
-        t = 2 * t + 1;
-      } else if (interpreted_bit(2 * t)) {
-        t = 2 * t;
-      } else {
-        return kBottom;  // both children 0: a concurrent update interfered
-      }
-    }
-    return static_cast<Key>(t - leaf_base_);
-  }
+  Key relaxed_predecessor(Key y) { return relaxed_walk<false>(y); }
 
   /// Successor analogue of RelaxedPredecessor (mirror-image traversal):
   /// smallest key > y, kNoKey if none, or kBottom under interference.
@@ -228,33 +203,7 @@ class TrieCore {
   /// carries over by symmetry. The Section 5 structure builds its
   /// linearizable successor on exactly this traversal, mirroring the
   /// announcement machinery the same way (core/lockfree_trie.hpp).
-  Key relaxed_successor(Key y) {
-    uint64_t t;
-    if (y < 0) {
-      if (!interpreted_bit(1)) return kNoKey;
-      t = 1;
-    } else {
-      t = leaf(y);
-      // Climb while t is a right child or its right sibling's bit is 0.
-      while ((t & 1) == 1 || !interpreted_bit(sibling(t))) {
-        t >>= 1;
-        if (t == 1) return kNoKey;
-      }
-      t = sibling(t);  // == t.parent.right, since t is a left child
-    }
-    // Descend the left-most path of interpreted-bit-1 nodes.
-    while (!is_leaf(t)) {
-      if (interpreted_bit(2 * t)) {
-        t = 2 * t;
-      } else if (interpreted_bit(2 * t + 1)) {
-        t = 2 * t + 1;
-      } else {
-        return kBottom;
-      }
-    }
-    const Key found = static_cast<Key>(t - leaf_base_);
-    return found < u_ ? found : kNoKey;  // padding keys >= u never inserted
-  }
+  Key relaxed_successor(Key y) { return relaxed_walk<true>(y); }
 
   /// Test-only inspector: recomputes what the interpreted bit *should* be
   /// in a quiescent state (OR over leaves) and compares; used by the
@@ -293,6 +242,42 @@ class TrieCore {
   }
 
  private:
+  /// The one body of both relaxed traversals; `Up` selects the successor
+  /// mirror. kOut is the child bit pointing in the search direction:
+  /// left (0) for predecessor, right (1) for successor.
+  template <bool Up>
+  Key relaxed_walk(Key y) {
+    constexpr uint64_t kOut = Up ? 1 : 0;
+    uint64_t t;
+    if (Up ? y < 0 : static_cast<uint64_t>(y) >= leaf_base_) {
+      if (!interpreted_bit(1)) return kNoKey;
+      t = 1;
+    } else {
+      t = leaf(y);
+      // Climb while t's sibling holds no candidate: t is itself an
+      // outward child, or the sibling's bit is 0.
+      while ((t & 1) == kOut || !interpreted_bit(sibling(t))) {
+        t >>= 1;
+        if (t == 1) return kNoKey;
+      }
+      t = sibling(t);  // the outward child of t's parent
+    }
+    // Descend the path of interpreted-bit-1 nodes nearest y, which
+    // prefers the inward child.
+    while (!is_leaf(t)) {
+      const uint64_t near = 2 * t + (1 - kOut);
+      if (interpreted_bit(near)) {
+        t = near;
+      } else if (interpreted_bit(near ^ 1)) {
+        t = near ^ 1;
+      } else {
+        return kBottom;  // both children 0: a concurrent update interfered
+      }
+    }
+    const Key found = static_cast<Key>(t - leaf_base_);
+    return found < u_ ? found : kNoKey;  // padding keys >= u never inserted
+  }
+
   UpdateNode* install_latest_dummy(Key x) {
     DelNode* d = make_dummy(x);
     UpdateNode* expected = nullptr;

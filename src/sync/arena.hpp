@@ -12,8 +12,12 @@
 //    (reclaim/chunk_retire.hpp) after an EBR grace period, so structure
 //    churn reuses chunk memory instead of growing the heap.
 //
-// The arena is intentionally type-erased (raw bytes) so one arena serves
-// update nodes, announcement cells, predecessor nodes and notify nodes.
+// The arena is intentionally type-erased (raw bytes). It now serves only
+// the bounded populations: the dummy DEL nodes of TrieCore and the
+// update nodes of the relaxed trie. The lock-free trie's churn-allocated
+// nodes — update, query and notify nodes and announcement cells — come
+// from the recycling pools (core/trie_pools.hpp, lists/pall.hpp,
+// reclaim/cell_quarantine.hpp).
 #pragma once
 
 #include <array>

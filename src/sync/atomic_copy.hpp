@@ -1,7 +1,7 @@
 // Single-writer atomic copy (paper reference [7], used for
-// pNode.RuallPosition in Section 5 — here PredecessorNode::
-// announce_position, which successor-direction operations point at the
-// SU-ALL instead).
+// pNode.RuallPosition in Section 5 — here PredecessorNode::position,
+// whose kPredSide word is the RU-ALL position and whose kSuccSide word
+// is its SU-ALL mirror).
 //
 // Semantics required by the paper (Figure 8 discussion): the predecessor
 // operation pOp must advance its announced RU-ALL position by *atomically*

@@ -185,8 +185,8 @@ struct DirScratch {
   }
 };
 
-/// All reusable buffers of one thread's query hot path. Index `side` 0 is
-/// the predecessor direction, 1 the successor direction. `notify_uall` is
+/// All reusable buffers of one thread's query hot path. `side` is indexed
+/// like every per-direction field (kPredSide, kSuccSide). `notify_uall` is
 /// separate because notify_query_ops runs *between* (never inside) the
 /// fused helper invocations of a Delete and must not clobber them — on
 /// one thread the helper and the notifier are never live simultaneously
@@ -196,7 +196,7 @@ struct QueryScratch {
   // fallback's oldest-first scan iterates it backwards instead of paying
   // a reverse per query).
   SmallVec<PredecessorNode*, 32> q;
-  DirScratch side[2];
+  DirScratch side[kNumSides];
 
   // notify_query_ops' U-ALL snapshot (whole list, both types).
   UallBufs notify_uall;

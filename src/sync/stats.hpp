@@ -1,21 +1,17 @@
-// Cheap per-thread operation-step counters, compile-time toggleable.
+// Cheap per-thread operation-step counters.
 //
 // Used by experiment E5 to validate the paper's amortized step-complexity
 // claims: we count shared-memory reads, CAS attempts, successful CASes and
 // min-writes performed inside trie operations, plus the query-path
-// accounting E12 relies on (fused-helper invocations and query-node
-// allocations). Counting is thread-local (no synchronisation on the hot
-// path) and aggregated on demand.
-//
-// Toggle: building with -DLFBT_STATS_DISABLED=1 (CMake: -DTRIE_STATS=OFF)
-// compiles every count_* call to nothing, so release benches measure the
-// algorithm rather than a thread-local increment per pointer chase. The
-// StepCounts type and the Stats API stay available in both configurations
-// (aggregate() just reports zeros when disabled); counter-asserting tests
-// gate themselves on Stats::enabled().
-// Memory accounting (always-on, unlike the step counters) lives in
-// reclaim/mem_stats.hpp and is re-exported here through Stats::memory()
-// so harnesses have a single stats entry point.
+// accounting (fused-helper invocations and query-node allocations).
+// Counting is per-thread: each thread owns one slot of relaxed atomic
+// counters that only it writes, by a relaxed load and store (plain moves
+// on x86 — no lock-prefixed read-modify-write on the hot path), and
+// aggregate() sums the slots on demand. A reader racing the owner sees a
+// slightly stale tally, never a torn one, and the race is well defined.
+// Memory accounting lives in reclaim/mem_stats.hpp and is re-exported
+// here through Stats::memory() so harnesses have a single stats entry
+// point.
 #pragma once
 
 #include <array>
@@ -25,12 +21,6 @@
 #include "reclaim/mem_stats.hpp"
 #include "sync/cacheline.hpp"
 #include "sync/thread_registry.hpp"
-
-#if defined(LFBT_STATS_DISABLED) && LFBT_STATS_DISABLED
-#define LFBT_STATS_ENABLED 0
-#else
-#define LFBT_STATS_ENABLED 1
-#endif
 
 namespace lfbt {
 
@@ -54,7 +44,7 @@ struct StepCounts {
   uint64_t atomic_scans = 0;
   uint64_t scan_retries = 0;
   uint64_t scan_fallbacks = 0;
-  // Query-path accounting (E12 / the fused-delete acceptance test):
+  // Query-path accounting (the fused-delete acceptance test):
   // every query-helper invocation, the subset announced as fused
   // direction-pairs (QueryDir::kBoth), and PredecessorNode allocations
   // that missed the recycling pool (helpers minus allocs = reuses).
@@ -70,45 +60,26 @@ struct StepCounts {
   uint64_t batch_ops = 0;
   uint64_t batch_coalesced = 0;
 
+  /// The field list, declared once: it drives the arithmetic below and
+  /// Stats' per-thread slots, reset() and aggregate().
+  static constexpr uint64_t StepCounts::*kFields[] = {
+      &StepCounts::reads,          &StepCounts::cas_attempts,
+      &StepCounts::cas_successes,  &StepCounts::min_writes,
+      &StepCounts::helps,          &StepCounts::trie_restarts,
+      &StepCounts::scan_ops,       &StepCounts::scan_keys,
+      &StepCounts::atomic_scans,   &StepCounts::scan_retries,
+      &StepCounts::scan_fallbacks, &StepCounts::query_helpers,
+      &StepCounts::fused_queries,  &StepCounts::query_node_allocs,
+      &StepCounts::batch_flushes,  &StepCounts::batch_ops,
+      &StepCounts::batch_coalesced};
+
   StepCounts& operator+=(const StepCounts& o) noexcept {
-    reads += o.reads;
-    cas_attempts += o.cas_attempts;
-    cas_successes += o.cas_successes;
-    min_writes += o.min_writes;
-    helps += o.helps;
-    trie_restarts += o.trie_restarts;
-    scan_ops += o.scan_ops;
-    scan_keys += o.scan_keys;
-    atomic_scans += o.atomic_scans;
-    scan_retries += o.scan_retries;
-    scan_fallbacks += o.scan_fallbacks;
-    query_helpers += o.query_helpers;
-    fused_queries += o.fused_queries;
-    query_node_allocs += o.query_node_allocs;
-    batch_flushes += o.batch_flushes;
-    batch_ops += o.batch_ops;
-    batch_coalesced += o.batch_coalesced;
+    for (auto f : kFields) this->*f += o.*f;
     return *this;
   }
   StepCounts operator-(const StepCounts& o) const noexcept {
     StepCounts r = *this;
-    r.reads -= o.reads;
-    r.cas_attempts -= o.cas_attempts;
-    r.cas_successes -= o.cas_successes;
-    r.min_writes -= o.min_writes;
-    r.helps -= o.helps;
-    r.trie_restarts -= o.trie_restarts;
-    r.scan_ops -= o.scan_ops;
-    r.scan_keys -= o.scan_keys;
-    r.atomic_scans -= o.atomic_scans;
-    r.scan_retries -= o.scan_retries;
-    r.scan_fallbacks -= o.scan_fallbacks;
-    r.query_helpers -= o.query_helpers;
-    r.fused_queries -= o.fused_queries;
-    r.query_node_allocs -= o.query_node_allocs;
-    r.batch_flushes -= o.batch_flushes;
-    r.batch_ops -= o.batch_ops;
-    r.batch_coalesced -= o.batch_coalesced;
+    for (auto f : kFields) r.*f -= o.*f;
     return r;
   }
   uint64_t total() const noexcept {
@@ -118,84 +89,91 @@ struct StepCounts {
 
 class Stats {
  public:
-  /// True iff the instrumentation is compiled in. Counter-asserting tests
-  /// GTEST_SKIP on !enabled() so a -DTRIE_STATS=OFF build still passes.
-  static constexpr bool enabled() { return LFBT_STATS_ENABLED != 0; }
+  /// Always true: the counters are part of every build. Kept for
+  /// harnesses that record it next to their results.
+  static constexpr bool enabled() { return true; }
 
   /// Process-wide memory-class counters (pool/arena bytes, recycle hit
-  /// rates). Always on, independent of the TRIE_STATS toggle — CI's soak
-  /// smoke test reads these from a release build.
+  /// rates).
   static MemStats::Snapshot memory() { return MemStats::snapshot_all(); }
 
-#if LFBT_STATS_ENABLED
-  static StepCounts& local() { return slots_[ThreadRegistry::id()].value; }
+  /// The calling thread's counters.
+  static StepCounts local() { return read(slot()); }
 
-  static void count_read(uint64_t n = 1) { local().reads += n; }
+  static void count_read(uint64_t n = 1) {
+    bump(slot(), &StepCounts::reads, n);
+  }
   static void count_cas(bool success) {
-    auto& s = local();
-    ++s.cas_attempts;
-    if (success) ++s.cas_successes;
+    StepCounts& s = slot();
+    bump(s, &StepCounts::cas_attempts);
+    if (success) bump(s, &StepCounts::cas_successes);
   }
-  static void count_min_write() { ++local().min_writes; }
-  static void count_help() { ++local().helps; }
+  static void count_min_write() { bump(slot(), &StepCounts::min_writes); }
+  static void count_help() { bump(slot(), &StepCounts::helps); }
   static void count_scan(uint64_t keys) {
-    auto& s = local();
-    ++s.scan_ops;
-    s.scan_keys += keys;
+    StepCounts& s = slot();
+    bump(s, &StepCounts::scan_ops);
+    bump(s, &StepCounts::scan_keys, keys);
   }
-  static void count_scan_atomic() { ++local().atomic_scans; }
-  static void count_scan_retry() { ++local().scan_retries; }
-  static void count_scan_fallback() { ++local().scan_fallbacks; }
+  static void count_scan_atomic() { bump(slot(), &StepCounts::atomic_scans); }
+  static void count_scan_retry() { bump(slot(), &StepCounts::scan_retries); }
+  static void count_scan_fallback() {
+    bump(slot(), &StepCounts::scan_fallbacks);
+  }
   static void count_query_helper(bool fused) {
-    auto& s = local();
-    ++s.query_helpers;
-    if (fused) ++s.fused_queries;
+    StepCounts& s = slot();
+    bump(s, &StepCounts::query_helpers);
+    if (fused) bump(s, &StepCounts::fused_queries);
   }
-  static void count_query_node_alloc() { ++local().query_node_allocs; }
+  static void count_query_node_alloc() {
+    bump(slot(), &StepCounts::query_node_allocs);
+  }
   static void count_batch_flush(uint64_t ops, uint64_t coalesced) {
-    auto& s = local();
-    ++s.batch_flushes;
-    s.batch_ops += ops;
-    s.batch_coalesced += coalesced;
+    StepCounts& s = slot();
+    bump(s, &StepCounts::batch_flushes);
+    bump(s, &StepCounts::batch_ops, ops);
+    bump(s, &StepCounts::batch_coalesced, coalesced);
   }
 
   /// Sum over all thread slots. Safe to call while threads run (values are
   /// monotone; the result is a consistent-enough snapshot for reporting).
   static StepCounts aggregate() {
     StepCounts total;
-    for (int i = 0; i < kMaxThreads; ++i) total += slots_[i].value;
+    for (auto& s : slots_) total += read(s.value);
     return total;
   }
 
   /// Zero all slots. Only call while no instrumented code runs.
   static void reset() {
-    for (int i = 0; i < kMaxThreads; ++i) slots_[i].value = StepCounts{};
+    for (auto& s : slots_) {
+      for (auto f : StepCounts::kFields) {
+        counter(s.value, f).store(0, kRelaxed);
+      }
+    }
   }
 
  private:
-  static inline std::array<Padded<StepCounts>, kMaxThreads> slots_{};
-#else
-  // Instrumentation compiled out: every counting call is a no-op the
-  // optimizer erases; readers observe a stable all-zero StepCounts.
-  static StepCounts& local() {
-    static thread_local StepCounts dummy{};
-    dummy = StepCounts{};
-    return dummy;
+  static constexpr auto kRelaxed = std::memory_order_relaxed;
+  using Field = uint64_t StepCounts::*;
+
+  // Slots are plain StepCounts accessed only through atomic_ref, so the
+  // one field table serves both the snapshot type and the slots.
+  static std::atomic_ref<uint64_t> counter(StepCounts& s, Field f) {
+    return std::atomic_ref<uint64_t>(s.*f);
   }
-  static void count_read(uint64_t = 1) {}
-  static void count_cas(bool) {}
-  static void count_min_write() {}
-  static void count_help() {}
-  static void count_scan(uint64_t) {}
-  static void count_scan_atomic() {}
-  static void count_scan_retry() {}
-  static void count_scan_fallback() {}
-  static void count_query_helper(bool) {}
-  static void count_query_node_alloc() {}
-  static void count_batch_flush(uint64_t, uint64_t) {}
-  static StepCounts aggregate() { return StepCounts{}; }
-  static void reset() {}
-#endif
+  static StepCounts& slot() { return slots_[ThreadRegistry::id()].value; }
+  static StepCounts read(StepCounts& s) {
+    StepCounts r;
+    for (auto f : StepCounts::kFields) r.*f = counter(s, f).load(kRelaxed);
+    return r;
+  }
+  /// Single-writer increment: only the owning thread stores to its slot.
+  static void bump(StepCounts& s, Field f, uint64_t n = 1) {
+    std::atomic_ref<uint64_t> c = counter(s, f);
+    c.store(c.load(kRelaxed) + n, kRelaxed);
+  }
+
+  static inline std::array<Padded<StepCounts>, kMaxThreads> slots_{};
 };
 
 }  // namespace lfbt

@@ -18,6 +18,11 @@ inline Key ref_predecessor(const std::set<Key>& s, Key y) {
   return it == s.begin() ? kNoKey : *std::prev(it);
 }
 
+inline Key ref_successor(const std::set<Key>& s, Key y) {
+  auto it = s.upper_bound(y);
+  return it == s.end() ? kNoKey : *it;
+}
+
 /// Randomized sequential differential test against std::set.
 template <class Set>
 void sequential_differential(Set& set, Key universe, int ops, uint64_t seed) {

@@ -113,19 +113,17 @@ TEST(AtomicScan, SeededInsertBehindCursorForcesRetry) {
   // and reports the post-insert state atomically.
   InterferingSet s{t, /*fire_after=*/2, /*mutate_key=*/5,
                    /*insert_side=*/true};
-  const StepCounts before = Stats::enabled() ? Stats::local() : StepCounts{};
+  const StepCounts before = Stats::local();
   std::vector<Key> out;
   const ScanResult r = epoch_validated_scan(
       s, [&] { return t.update_epoch(); }, 0, 63, kNoScanLimit, out);
   EXPECT_TRUE(r.atomic);
   EXPECT_EQ(r.retries, 1u);
   EXPECT_EQ(out, (std::vector<Key>{5, 10, 20, 30, 40}));
-  if (Stats::enabled()) {
-    const StepCounts d = Stats::local() - before;
-    EXPECT_EQ(d.scan_retries, 1u);
-    EXPECT_EQ(d.atomic_scans, 1u);
-    EXPECT_EQ(d.scan_fallbacks, 0u);
-  }
+  const StepCounts d = Stats::local() - before;
+  EXPECT_EQ(d.scan_retries, 1u);
+  EXPECT_EQ(d.atomic_scans, 1u);
+  EXPECT_EQ(d.scan_fallbacks, 0u);
 }
 
 TEST(AtomicScan, SeededEraseBehindCursorForcesRetry) {
@@ -168,7 +166,7 @@ TEST(AtomicScan, PersistentInterferenceFallsBackHonestly) {
   LockFreeBinaryTrie t(128);
   for (Key k : {10, 20, 30}) t.insert(k);
   AlwaysInterferingSet s{t, /*toggle_key=*/100};
-  const StepCounts before = Stats::enabled() ? Stats::local() : StepCounts{};
+  const StepCounts before = Stats::local();
   std::vector<Key> out;
   const ScanResult r = epoch_validated_scan(
       s, [&] { return t.update_epoch(); }, 0, 63, kNoScanLimit, out,
@@ -178,12 +176,10 @@ TEST(AtomicScan, PersistentInterferenceFallsBackHonestly) {
   // The kept walk is still per-step exact here (the toggled key is
   // outside the window) and earlier discarded walks left no residue.
   EXPECT_EQ(out, (std::vector<Key>{10, 20, 30}));
-  if (Stats::enabled()) {
-    const StepCounts d = Stats::local() - before;
-    EXPECT_EQ(d.scan_retries, 2u);
-    EXPECT_EQ(d.scan_fallbacks, 1u);
-    EXPECT_EQ(d.atomic_scans, 0u);
-  }
+  const StepCounts d = Stats::local() - before;
+  EXPECT_EQ(d.scan_retries, 2u);
+  EXPECT_EQ(d.scan_fallbacks, 1u);
+  EXPECT_EQ(d.atomic_scans, 0u);
 }
 
 TEST(AtomicScan, ZeroRetriesMeansImmediateFallback) {

@@ -106,6 +106,8 @@ TEST_P(LockFreeTrieUniverses, DifferentialAgainstStdSet) {
       default:
         ASSERT_EQ(t.predecessor(k + 1), testutil::ref_predecessor(ref, k + 1))
             << "i=" << i << " y=" << k + 1;
+        ASSERT_EQ(t.successor(k - 1), testutil::ref_successor(ref, k - 1))
+            << "i=" << i << " y=" << k - 1;
     }
   }
 }
@@ -114,7 +116,6 @@ INSTANTIATE_TEST_SUITE_P(Universes, LockFreeTrieUniverses,
                          ::testing::Values(1, 2, 3, 8, 17, 64, 1000, 1 << 14));
 
 TEST(LockFreeTrieSeq, SearchIsConstantStepCount) {
-  if (!Stats::enabled()) GTEST_SKIP() << "built with TRIE_STATS=OFF";
   // O(1) worst-case Search: the number of instrumented shared reads per
   // contains() must not grow with the universe or the set size.
   for (Key u : {Key{64}, Key{1} << 12, Key{1} << 18}) {

@@ -72,6 +72,8 @@ TEST_P(RelaxedTrieUniverses, DifferentialAgainstStdSet) {
       default:
         ASSERT_EQ(t.relaxed_predecessor(k + 1),
                   testutil::ref_predecessor(ref, k + 1));
+        ASSERT_EQ(t.relaxed_successor(k - 1),
+                  testutil::ref_successor(ref, k - 1));
     }
   }
 }

@@ -230,9 +230,6 @@ TEST(BatchBuffer, FutureExactnessUnderStalledDrainer) {
 // segment are counted (and only those — a query bounds the segment).
 
 TEST(BatchBuffer, CoalescingCountsSupersededUpdates) {
-  if (!Stats::enabled()) {
-    GTEST_SKIP() << "step counters compiled out (-DTRIE_STATS=OFF)";
-  }
   LockFreeBinaryTrie set(64);
   serve::BatchBuffer<LockFreeBinaryTrie> buf(set, 16);
 

@@ -105,7 +105,6 @@ TEST(Harness, LatencySamplingProducesSortedSamples) {
 }
 
 TEST(Harness, TraversalMixRunsAndCountsScans) {
-  if (!Stats::enabled()) GTEST_SKIP() << "built with TRIE_STATS=OFF";
   // A traversal-heavy run on the sharded trie: completes, reports
   // throughput, and the scan step counters (wired through apply_op into
   // StepCounts) record every executed scan.
@@ -147,9 +146,7 @@ void traversal_mix_smoke() {
   Stats::reset();
   auto res = bench_fresh<Set>(cfg);
   EXPECT_EQ(res.total_ops, 1000u);
-  if (Stats::enabled()) {
-    EXPECT_GT(res.steps.scan_ops, 0u);
-  }
+  EXPECT_GT(res.steps.scan_ops, 0u);
 }
 
 TEST(Harness, TraversalMixAcrossEveryTraversableStructure) {
