@@ -7,14 +7,14 @@
 // bounded (clients hitting an announced copy window back off for at most
 // a batch; reads never block).
 //
-// Like E13 this bench SELF-CHECKS: it exits non-zero when
+// This bench SELF-CHECKS: it exits non-zero when
 //   - post-split throughput < LFBT_E14_MIN_SPEEDUP (default 1.3) x the
 //     pre-split rate, or
 //   - p99 during the split window > LFBT_E14_P99_FACTOR (default 100) x
 //     the pre-split p99, or
 //   - the resharding churn soak (split/merge every window under churn)
-//     grows the memory footprint — the E13 leak gate extended to the
-//     control plane.
+//     grows the memory footprint — the soak_tail_is_flat leak gate of
+//     Reclaim.ChurnSoakSmokeTailIsFlat extended to the control plane.
 // Rows go to BENCH_E14.json. A third, unchecked panel reports the load
 // observer chasing a flash-crowd hot spot (maybe_split under a moving
 // window) for the record.

@@ -7,7 +7,7 @@
 // regime where revalidation would thrash: O(1) acquisition, then every
 // scan is atomic by construction.
 //
-// Like E13/E14 this bench SELF-CHECKS: it exits non-zero when the
+// Like E14 this bench SELF-CHECKS: it exits non-zero when the
 // atomicity AUDIT fails — reader threads log validated scans against a
 // single-writer timeline (universe <= 64, whole windows as bitmasks,
 // split/merge churn in flight) and every atomic report must match some

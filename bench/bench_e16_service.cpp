@@ -8,15 +8,16 @@
 // (scheduled arrival -> result, serve/open_loop.hpp) stays bounded at
 // offered rates below the measured peak.
 //
-// Like E13/E14 this bench SELF-CHECKS: it exits non-zero when
+// Like E14 this bench SELF-CHECKS: it exits non-zero when
 //   - batched peak < LFBT_E16_MIN_SPEEDUP x direct peak (default 1.2 on
 //     hosts with >= 2 hardware threads; degraded to 1.05 on single-
 //     hardware-thread hosts, where the run time-slices one core and the
-//     remaining win is coalescing + guard amortisation alone), or
+//     remaining win is coalescing + guard amortisation alone),
+//   - the batched peak panel recorded no flushes or coalesced at most 1%
+//     of its updates, or
 //   - any measured panel is degenerate (nothing completed, or a sojourn
 //     percentile curve collapsed/inverted — see OpenLoopResult).
-// Rows go to BENCH_E16.json; scripts/check_bench_regression.py gates CI
-// on the verdict row against scripts/bench_floors.json.
+// Rows go to BENCH_E16.json.
 #include <algorithm>
 #include <thread>
 
@@ -158,6 +159,17 @@ bool peak_panel(const BenchConfig& cfg, bool pin, double& direct_peak,
       std::fprintf(stderr, "E16a: degenerate peak panel\n");
       ok = false;
     }
+  }
+  // The batched path must really drain and coalesce: a storm over a
+  // 256-key window that coalesces nothing measures a broken front door.
+  if (batched.batch_flushes == 0) {
+    std::fprintf(stderr, "E16a: batched peak panel recorded no flushes\n");
+    ok = false;
+  }
+  if (!(coalesce_pct > 1.0)) {
+    std::fprintf(stderr, "E16a: %.2f%% of updates coalesced (floor > 1%%)\n",
+                 coalesce_pct);
+    ok = false;
   }
   return ok;
 }

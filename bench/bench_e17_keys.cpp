@@ -31,10 +31,13 @@
 //                             single-threaded so the measured gap is
 //                             pure structure depth, not scheduling.
 //
-// Like E13/E14/E16 this bench SELF-CHECKS: it exits non-zero when
+// Like E14/E16 this bench SELF-CHECKS: it exits non-zero when
 //   - any contender disagrees with a sequential std::set oracle in the
 //     pre-timing differential audit (a codec or trie bug, not a perf
 //     regression),
+//   - a throughput-floored row (point-read enc-u64-trie, sparse
+//     enc-u64-compressed, string enc-str-compressed, skip compressed-on)
+//     completes no work,
 //   - path compression fails to beat per-bit chains by
 //     LFBT_E17_MIN_SKIP_SPEEDUP (default 1.1; single-threaded, so no
 //     host degrade is needed),
@@ -44,8 +47,7 @@
 //     threads — its contains is lock-free, the baseline serialises;
 //     degraded to 0.4 on single-hardware-thread hosts, where every
 //     structure time-slices one core and lock-freedom buys nothing).
-// Rows go to BENCH_E17.json; scripts/check_bench_regression.py gates CI
-// on the verdict rows against scripts/bench_floors.json.
+// Rows go to BENCH_E17.json.
 #include <cstdint>
 #include <set>
 #include <string>
@@ -195,6 +197,17 @@ int main() {
   std::printf("pre-timing differential audit: all 7 contenders agree with "
               "the std::set oracle\n\n");
 
+  // Throughput floor on one row per panel: a row that completed no work
+  // measures nothing.
+  bool all_ran = true;
+  auto floored = [&all_ran](const char* row, double mops) {
+    if (!(mops > 0)) {
+      std::fprintf(stderr, "E17: %s completed no work\n", row);
+      all_ran = false;
+    }
+    return mops;
+  };
+
   const unsigned hw = std::thread::hardware_concurrency();
   const bool parallel_host = hw >= 2;
   const Key u20 = Key{1} << 20;
@@ -214,7 +227,8 @@ int main() {
 
   for (int t : sweep) {
     const BenchConfig read_cfg = panel_config(t, u20, kSearchHeavy, dense_prefill);
-    run_one<EncU64Trie>("point-read", "enc-u64-trie", read_cfg, 20);
+    floored("point-read enc-u64-trie",
+            run_one<EncU64Trie>("point-read", "enc-u64-trie", read_cfg, 20));
     const double tr =
         run_one<EncU64Compressed>("point-read", "enc-u64-compressed", read_cfg, 20);
     const double sr = run_one<EncU64StdSet>("point-read", "enc-u64-std-set", read_cfg, 20);
@@ -246,7 +260,9 @@ int main() {
   for (int t : sweep) {
     const BenchConfig sparse_cfg =
         panel_config(t, u42, kBalanced, bench::scaled(100000));
-    run_one<EncU64Compressed>("sparse", "enc-u64-compressed", sparse_cfg, 42);
+    floored("sparse enc-u64-compressed",
+            run_one<EncU64Compressed>("sparse", "enc-u64-compressed",
+                                      sparse_cfg, 42));
     run_one<EncU64StdSet>("sparse", "enc-u64-std-set", sparse_cfg, 42);
   }
 
@@ -256,7 +272,9 @@ int main() {
   for (int t : sweep) {
     const BenchConfig str_cfg = panel_config(t, u16, kBalanced, bench::scaled(20000));
     run_one<EncStrTrie>("string", "enc-str-trie", str_cfg, 16);
-    run_one<EncStrCompressed>("string", "enc-str-compressed", str_cfg, 16);
+    floored("string enc-str-compressed",
+            run_one<EncStrCompressed>("string", "enc-str-compressed", str_cfg,
+                                      16));
     run_one<EncStrStdSet>("string", "enc-str-std-set", str_cfg, 16);
   }
 
@@ -270,7 +288,7 @@ int main() {
     CompressedBitTrie on(u30, /*compress_paths=*/true);
     prefill(on, skip_cfg);
     const BenchResult r = run_bench(on, skip_cfg);
-    skip_on = r.mops_per_sec;
+    skip_on = floored("skip compressed-on", r.mops_per_sec);
     bench::row(bench::fmt("| %-11s | %-18s | u=2^%-2d | %d thr | %-14s | %8.3f Mops/s |",
                           "skip", "compressed-on", 30, 1,
                           skip_cfg.mix.name().c_str(), r.mops_per_sec));
@@ -300,7 +318,7 @@ int main() {
   }
 
   // --- Verdicts --------------------------------------------------------
-  bool ok = true;
+  bool ok = all_ran;
 
   const double skip_speedup = skip_off > 0 ? skip_on / skip_off : 0;
   const double min_skip = env_double("LFBT_E17_MIN_SKIP_SPEEDUP", 1.1);

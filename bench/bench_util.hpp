@@ -1,5 +1,5 @@
-// Shared support for the experiment benches (E1..E9): markdown-style table
-// output, machine-readable JSON result files, and global scale knobs.
+// Shared support for the experiment benches (E14..E17): markdown-style
+// table output, machine-readable JSON result files, and global scale knobs.
 //
 // Each bench regenerates one experiment (see README.md's experiment index)
 // and prints self-describing markdown rows. Environment knobs:
@@ -60,58 +60,11 @@ std::string fmt(const char* f, Args... args) {
 
 /// Accumulates one JSON object per benchmark configuration and writes them
 /// as a JSON array, so CI can archive/diff machine-readable results
-/// alongside the printed markdown tables (e.g. BENCH_E9.json).
+/// alongside the printed markdown tables (e.g. BENCH_E14.json).
 class JsonRows {
  public:
   /// `obj` must be a complete JSON object, e.g. built with bench::fmt.
   void add(std::string obj) { rows_.push_back(std::move(obj)); }
-
-  /// One standard record shape for harness results.
-  void add_result(const char* structure, int shards, int threads,
-                  const OpMix& mix, const char* dist, const BenchResult& r) {
-    add(fmt("{\"structure\":\"%s\",\"shards\":%d,\"threads\":%d,"
-            "\"mix\":\"%s\",\"dist\":\"%s\",\"total_ops\":%llu,"
-            "\"elapsed_sec\":%.6f,\"mops_per_sec\":%.4f}",
-            structure, shards, threads, mix.name().c_str(), dist,
-            static_cast<unsigned long long>(r.total_ops), r.elapsed_sec,
-            r.mops_per_sec));
-  }
-
-  /// Record shape for latency-panelled experiments (E11): the standard
-  /// result fields plus sampled per-op latency percentiles in
-  /// nanoseconds (cfg.sample_latency must have been set; zeros
-  /// otherwise).
-  void add_latency_result(const char* structure, int shards, int threads,
-                          const OpMix& mix, const char* dist,
-                          const BenchResult& r) {
-    add(fmt("{\"structure\":\"%s\",\"shards\":%d,\"threads\":%d,"
-            "\"mix\":\"%s\",\"dist\":\"%s\",\"total_ops\":%llu,"
-            "\"elapsed_sec\":%.6f,\"mops_per_sec\":%.4f,"
-            "\"p50_ns\":%llu,\"p95_ns\":%llu,\"p99_ns\":%llu}",
-            structure, shards, threads, mix.name().c_str(), dist,
-            static_cast<unsigned long long>(r.total_ops), r.elapsed_sec,
-            r.mops_per_sec,
-            static_cast<unsigned long long>(r.latency_pct(0.50)),
-            static_cast<unsigned long long>(r.latency_pct(0.95)),
-            static_cast<unsigned long long>(r.latency_pct(0.99))));
-  }
-
-  /// Record shape for traversal workloads (E10): adds the scan-window
-  /// width and the scan counters the harness collected via StepCounts.
-  void add_scan_result(const char* structure, int shards, int threads,
-                       const OpMix& mix, const char* dist, Key span,
-                       const BenchResult& r) {
-    add(fmt("{\"structure\":\"%s\",\"shards\":%d,\"threads\":%d,"
-            "\"mix\":\"%s\",\"dist\":\"%s\",\"span\":%lld,"
-            "\"total_ops\":%llu,\"elapsed_sec\":%.6f,\"mops_per_sec\":%.4f,"
-            "\"scan_ops\":%llu,\"scan_keys\":%llu}",
-            structure, shards, threads, mix.name().c_str(), dist,
-            static_cast<long long>(span),
-            static_cast<unsigned long long>(r.total_ops), r.elapsed_sec,
-            r.mops_per_sec,
-            static_cast<unsigned long long>(r.steps.scan_ops),
-            static_cast<unsigned long long>(r.steps.scan_keys)));
-  }
 
   /// Returns false (and says why on stderr) on any open/write failure, so
   /// callers can fail a CI run instead of archiving a truncated artifact.

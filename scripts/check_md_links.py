@@ -14,7 +14,7 @@ README.md, ROADMAP.md, docs/*.md from the repo root):
 Additionally flags *stale source references*: any token that looks like
 a repository source path (src/..., tests/..., bench/..., docs/...,
 scripts/..., examples/..., .github/...) or like an #include of a header
-under src/ (e.g. `query/bidi_trie.hpp`) must name a file that still
+under src/ (e.g. `query/range_scan.hpp`) must name a file that still
 exists — so documentation citing a deleted header (say, the retired
 per-shard mirror arenas) fails the check instead of rotting. Checked in
 prose AND fenced code blocks; generated artifacts (build/), external

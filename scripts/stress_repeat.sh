@@ -32,6 +32,7 @@ SUITES=(
   "test_successor SuccessorLinearizability.*"
   "test_serve *WingGong*"
   "test_fused_query FusedQueryLinearizability.*:*StalledFusedDeleteUnderConcurrentQueries"
+  "test_keys CompressedTrieConcurrent.*"
 )
 
 fail=0

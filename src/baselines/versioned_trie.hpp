@@ -22,7 +22,7 @@
 //
 // Trade-off vs the paper's lock-free trie: every update allocates and
 // CASes one global word, so update throughput collapses under write
-// contention — exactly the behaviour E1 measures against.
+// contention.
 #pragma once
 
 #include <atomic>

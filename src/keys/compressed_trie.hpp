@@ -225,20 +225,32 @@ class CompressedBitTrie {
   /// Validated scan over the seqlock version: the epoch reader spins out
   /// write windows (odd versions), so an unchanged even bracket means no
   /// write STARTED or COMPLETED inside it — the walk observed one state.
+  /// The last allowed walk holds the write mutex instead, so it is atomic
+  /// by construction and a scan never gives up under write pressure.
   ScanResult range_scan_validated(Key lo, Key hi, std::size_t limit,
                                   std::vector<Key>& out,
                                   uint32_t max_retries = kDefaultScanRetries) {
     assert(lo >= 0 && lo < u_ && hi >= lo);
-    return epoch_validated_scan(
-        *this,
-        [this] {
-          uint64_t v;
-          while (((v = version_.load(std::memory_order_seq_cst)) & 1) != 0) {
-            std::this_thread::yield();
-          }
-          return v;
-        },
-        lo, hi < u_ ? hi : u_ - 1, limit, out, max_retries);
+    if (hi >= u_) hi = u_ - 1;
+    uint32_t walks = 0;
+    return retry_validated_scan(out, max_retries, [&](std::size_t& n) {
+      if (walks++ == max_retries) {
+        // succ_impl, not successor(): ordered_read may take mu_ itself.
+        struct Locked {
+          CompressedBitTrie& t;
+          Key successor(Key y) { return t.succ_impl(y); }
+        } locked{*this};
+        std::lock_guard lock(mu_);
+        n = successor_range_scan(locked, lo, hi, limit, out);
+        return true;
+      }
+      uint64_t v0;
+      while (((v0 = version_.load(std::memory_order_seq_cst)) & 1) != 0) {
+        std::this_thread::yield();
+      }
+      n = successor_range_scan(*this, lo, hi, limit, out);
+      return version_.load(std::memory_order_seq_cst) == v0;
+    });
   }
 
   /// Exact at quiescence; conservative (never false-positive-empty)

@@ -17,8 +17,7 @@
 // Role today. The core trie answers successor natively (the SU-ALL /
 // directional-notification machinery of core/lockfree_trie.hpp), so no
 // production structure routes successor through this view any more —
-// BidiTrie is an alias for the core trie and ShardedTrie's shards are
-// single tries. What makes MirroredTrie worth keeping is exactly what
+// ShardedTrie's shards are single core tries. What makes MirroredTrie worth keeping is exactly what
 // made it correct: its successor goes through a *different* code path
 // (the predecessor helper on reflected keys) with the proof inherited by
 // bijection rather than by the mirrored machinery. That makes it an

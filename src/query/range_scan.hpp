@@ -34,10 +34,9 @@
 //    report, and why both insert AND delete epochs are required) is in
 //    docs/DESIGN.md, "Atomic scans".
 //
-// Structures with snapshot reads (CowUniversalSet, VersionedTrie and its
-// SnapshotView) and the lock-holding baselines are atomic by
-// construction: their range_scan_validated never retries and always
-// reports atomic == true.
+// Structures with snapshot reads (VersionedTrie and its SnapshotView)
+// and the lock-holding LockedStdSet are atomic by construction: their
+// range_scan_validated never retries and always reports atomic == true.
 #pragma once
 
 #include <cassert>
@@ -84,8 +83,7 @@ concept SuccessorQueryable = requires(S s, Key y) {
 /// successor step per reported key (plus one to detect the end), so the
 /// weak-consistency contract above holds whenever `successor` is
 /// linearizable. The single shared implementation of the walk — the
-/// core trie's range_scan member delegates here, as does the E11
-/// bench's reconstructed double-write baseline.
+/// validated scans below and the compressed trie's scans run through it.
 template <SuccessorQueryable S>
 std::size_t successor_range_scan(S& set, Key lo, Key hi, std::size_t limit,
                                  std::vector<Key>& out) {

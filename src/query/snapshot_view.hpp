@@ -11,8 +11,9 @@
 // paths are RETIRED (not freed) on update, a view holding a guard can
 // keep reading its version while the live structure moves on; when the
 // view is released the guard drops and the retired paths drain to the
-// version-node pool on EBR's schedule — which is what keeps the E13
-// flat-footprint gate true under snapshot churn (tests/test_reclaim.cpp).
+// version-node pool on EBR's schedule — which is what keeps the churn-
+// soak flat-footprint gate true under snapshot churn
+// (tests/test_reclaim.cpp).
 //
 // Version nodes are pooled through the reclamation subsystem
 // (reclaim/node_pool.hpp, MemClass::kVersionNode): immortal slabs, so a

@@ -1,6 +1,7 @@
 // OrderedSet: the repository-wide façade over every dynamic-set-with-
 // predecessor structure — the paper's lock-free trie, the relaxed trie,
-// the sharded trie, and all `src/baselines/` structures.
+// the sharded trie, the compressed trie of src/keys/, and the
+// `src/baselines/` reference and comparison structures.
 //
 // Two layers:
 //  * the `OrderedSet` / `SizedOrderedSet` concepts, used to constrain the
@@ -13,8 +14,9 @@
 //
 // The concept is deliberately minimal — exactly the four operations the
 // paper defines plus the universe accessor every implementation already
-// has. size()/empty() are split into SizedOrderedSet because most
-// lock-free baselines cannot support them without adding contention, and
+// has. size()/empty() are split into SizedOrderedSet because a lock-free
+// structure (the relaxed trie, for one) may not support them without
+// adding contention, and
 // the ordered-traversal surface (successor / range_scan, contract in
 // query/range_scan.hpp) is split into TraversableOrderedSet so partial-
 // surface structures still model the base concept. Since the core trie

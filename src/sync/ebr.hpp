@@ -5,9 +5,8 @@
 // the epoch at retirement and freed once every in-critical-section thread
 // has observed a later epoch (two epoch advances = grace period).
 //
-// Used by the baseline lock-free structures (skip list, Harris list,
-// copy-on-write universal set) to run with bounded memory, and by the
-// trie's recycling pools: query, notify and INS/DEL update nodes
+// Used by the versioned and compressed tries to run with bounded
+// memory, and by the trie's recycling pools: query, notify and INS/DEL update nodes
 // (lists/pall.hpp, core/trie_pools.hpp) and announcement cells
 // (reclaim/cell_quarantine.hpp, which adds a quarantine where a grace
 // period alone is not enough) rejoin their free lists only after a

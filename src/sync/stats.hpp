@@ -1,7 +1,7 @@
 // Cheap per-thread operation-step counters.
 //
-// Used by experiment E5 to validate the paper's amortized step-complexity
-// claims: we count shared-memory reads, CAS attempts, successful CASes and
+// Used to check the paper's amortized step-complexity claims (stackbench's
+// core.* metrics, the FusedQuery step-count tests): we count shared-memory reads, CAS attempts, successful CASes and
 // min-writes performed inside trie operations, plus the query-path
 // accounting (fused-helper invocations and query-node allocations).
 // Counting is per-thread: each thread owns one slot of relaxed atomic
@@ -32,9 +32,8 @@ struct StepCounts {
   uint64_t helps = 0;        // HelpActivate invocations that did work
   uint64_t trie_restarts = 0;
   // Ordered-traversal workload counters (harness-level, not memory
-  // steps): range scans executed and keys they returned — E10 reports
-  // keys/scan and scanned-keys/s from the same StepCounts delta the
-  // other experiments already use.
+  // steps): range scans executed and keys they returned, so keys/scan
+  // comes from the same StepCounts delta as every other counter.
   uint64_t scan_ops = 0;
   uint64_t scan_keys = 0;
   // Validated-scan accounting (E15 / the atomic-scan torture tests):

@@ -3,8 +3,8 @@
 // Uniform, Zipfian (YCSB-style analytic generator — Gray et al.'s
 // "Quickly generating billion-record synthetic databases" method, no
 // per-key tables so it scales to 2^30 universes), and a clustered
-// distribution that confines traffic to a hot range to dial contention up
-// (experiment E4).
+// distribution that confines traffic to a hot range to dial contention
+// up.
 #pragma once
 
 #include <cstdint>

@@ -4,17 +4,17 @@
 // the process-wide pooled-class footprint (reclaim/mem_stats.hpp via
 // Stats::memory()).
 //
-// The property under test (docs/EXPERIMENTS.md, E13): with the reclaim
-// subsystem in place, churn reaches a STEADY STATE — after a warm-up
+// The property under test (Reclaim.ChurnSoakSmokeTailIsFlat): with the
+// reclaim subsystem in place, churn reaches a STEADY STATE — after a warm-up
 // ramp, neither the structure's reserved bytes nor the process pool
 // bytes grow from one window to the next, because every retired query
 // node, notify node, update node and announcement cell is recycled
 // through EBR instead of accreting. Before PR 6 both curves grew without
 // bound under exactly this workload.
 //
-// The harness is deliberately tiny and header-only so the E13 bench, the
-// CI smoke step and unit tests can share one definition of "a window"
-// and one flatness predicate.
+// The harness is deliberately tiny and header-only so the unit tests and
+// the E14 bench share one definition of "a window" and one flatness
+// predicate.
 #pragma once
 
 #include <cstdint>
@@ -101,7 +101,7 @@ std::vector<SoakWindowSample> churn_soak(Set& set, const SoakConfig& cfg) {
   return samples;
 }
 
-/// The E13 acceptance predicate: across the FINAL TWO windows the
+/// The leak-gate predicate: across the FINAL TWO windows the
 /// structure bytes did not grow and the pool bytes grew by at most
 /// `pool_slack` (default: one pool slab — a window that sets a new
 /// in-flight high-water mark may legitimately carve one more slab, and

@@ -341,8 +341,8 @@ TEST(CompressedTrieConcurrent, ValidatedScanAtomicUnderInterference) {
   }
   stop = true;
   writer.join();
-  // With bounded retries plus a mutex-fallback epoch read some scans
-  // must land atomic even under constant interference.
+  // After its bounded retries a scan takes the write mutex for one walk,
+  // so scans land atomic even under constant interference.
   EXPECT_GT(atomic_scans, 0);
 }
 

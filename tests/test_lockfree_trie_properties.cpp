@@ -4,6 +4,8 @@
 // bounded arena growth.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -68,9 +70,11 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{2, 1 << 14, 30, 1007},
                       SweepParam{12, 4, 40, 1008}),
     [](const auto& info) {
-      return "t" + std::to_string(info.param.threads) + "_u" +
-             std::to_string(info.param.universe) + "_p" +
-             std::to_string(info.param.pred_pct);
+      char name[64];
+      std::snprintf(name, sizeof(name), "t%d_u%lld_p%d", info.param.threads,
+                    static_cast<long long>(info.param.universe),
+                    info.param.pred_pct);
+      return std::string(name);
     });
 
 TEST(TrieArenaGrowth, BoundedPerOperation) {

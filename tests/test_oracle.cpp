@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/locked_trie.hpp"
+#include "baselines/locked_map.hpp"
 
 namespace lfbt {
 namespace {
 
 TEST(Oracle, AcceptsAnswerFromCurrentVersion) {
-  CoarseLockTrie set(64);
+  LockedStdSet set(64);
   HistoryClock clock;
   SingleWriterOracle oracle;
   oracle.writer_apply(set, OpKind::kInsert, 5, clock);
@@ -41,7 +41,7 @@ TEST(Oracle, RejectsAnswerNoVersionJustifies) {
 }
 
 TEST(Oracle, RejectsAnswerFromNonOverlappingVersion) {
-  CoarseLockTrie set(64);
+  LockedStdSet set(64);
   HistoryClock clock;
   SingleWriterOracle oracle;
   oracle.writer_apply(set, OpKind::kInsert, 5, clock);   // {5}
@@ -59,7 +59,7 @@ TEST(Oracle, RejectsAnswerFromNonOverlappingVersion) {
 }
 
 TEST(Oracle, VersionsTrackWriterHistory) {
-  CoarseLockTrie set(64);
+  LockedStdSet set(64);
   HistoryClock clock;
   SingleWriterOracle oracle;
   oracle.writer_apply(set, OpKind::kInsert, 1, clock);

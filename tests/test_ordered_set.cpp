@@ -8,14 +8,10 @@
 #include <set>
 #include <vector>
 
-#include "baselines/cow_universal.hpp"
-#include "baselines/harris_set.hpp"
-#include "baselines/lf_skiplist.hpp"
-#include "baselines/locked_trie.hpp"
 #include "baselines/seq_binary_trie.hpp"
 #include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
-#include "query/bidi_trie.hpp"
+#include "keys/compressed_trie.hpp"
 #include "query/mirrored_trie.hpp"
 #include "relaxed/relaxed_trie.hpp"
 #include "set_test_util.hpp"
@@ -30,11 +26,6 @@ namespace {
 static_assert(OrderedSet<LockFreeBinaryTrie>);
 static_assert(OrderedSet<RelaxedBinaryTrie>);
 static_assert(OrderedSet<ShardedTrie>);
-static_assert(OrderedSet<LockFreeSkipList>);
-static_assert(OrderedSet<HarrisSet>);
-static_assert(OrderedSet<CowUniversalSet>);
-static_assert(OrderedSet<CoarseLockTrie>);
-static_assert(OrderedSet<RwLockTrie>);
 static_assert(OrderedSet<SeqBinaryTrie>);
 static_assert(OrderedSet<VersionedTrie>);
 
@@ -42,30 +33,23 @@ static_assert(OrderedSet<VersionedTrie>);
 static_assert(SizedOrderedSet<LockFreeBinaryTrie>);
 static_assert(SizedOrderedSet<ShardedTrie>);
 static_assert(SizedOrderedSet<SeqBinaryTrie>);
-// Baselines without size() must NOT accidentally satisfy the refinement.
-static_assert(!SizedOrderedSet<HarrisSet>);
+// Structures without size() must NOT accidentally satisfy the refinement.
+static_assert(!SizedOrderedSet<RelaxedBinaryTrie>);
 
 // Sharded refinement: only genuinely partitioned structures qualify. The
-// skip list's (universe, seed) constructor must NOT match — otherwise the
-// harness would pass cfg.shards as its RNG seed.
+// compressed trie's (universe, compress_paths) constructor must NOT
+// match — otherwise the harness would pass cfg.shards as its flag.
 static_assert(ShardedOrderedSet<ShardedTrie>);
-static_assert(!ShardedOrderedSet<LockFreeSkipList>);
+static_assert(!ShardedOrderedSet<CompressedBitTrie>);
 static_assert(!ShardedOrderedSet<LockFreeBinaryTrie>);
 
 // Traversal refinement (successor + range_scan): every shipped structure
 // models it — including the paper's trie itself, whose successor is now
-// native and symmetric (core/lockfree_trie.hpp); BidiTrie is a retained
-// alias for it. The successor-only MirroredTrie oracle is deliberately
-// not even an OrderedSet.
+// native and symmetric (core/lockfree_trie.hpp). The successor-only
+// MirroredTrie oracle is deliberately not even an OrderedSet.
 static_assert(TraversableOrderedSet<LockFreeBinaryTrie>);
-static_assert(std::same_as<BidiTrie, LockFreeBinaryTrie>);
 static_assert(TraversableOrderedSet<ShardedTrie>);
 static_assert(TraversableOrderedSet<RelaxedBinaryTrie>);
-static_assert(TraversableOrderedSet<LockFreeSkipList>);
-static_assert(TraversableOrderedSet<HarrisSet>);
-static_assert(TraversableOrderedSet<CowUniversalSet>);
-static_assert(TraversableOrderedSet<CoarseLockTrie>);
-static_assert(TraversableOrderedSet<RwLockTrie>);
 static_assert(TraversableOrderedSet<SeqBinaryTrie>);
 static_assert(TraversableOrderedSet<VersionedTrie>);
 static_assert(!OrderedSet<MirroredTrie>);
@@ -138,19 +122,17 @@ TEST(OrderedSetFacade, AdapterErasesTraversal) {
 }
 
 TEST(OrderedSetFacade, HeterogeneousStructuresOneDriver) {
-  // One deterministic script against five different implementations via
+  // One deterministic script against four different implementations via
   // the same erased handle; all must agree with the std::set oracle.
   LockFreeBinaryTrie a(128);
   ShardedTrie b(128, 8);
   RelaxedBinaryTrie c(128);
   SeqBinaryTrie d(128);
-  LockFreeSkipList e(128);
   std::vector<AnyOrderedSet> sets;
   sets.emplace_back(a);
   sets.emplace_back(b);
   sets.emplace_back(c);
   sets.emplace_back(d);
-  sets.emplace_back(e);
 
   std::set<Key> ref;
   Xoshiro256 rng(17);
@@ -180,30 +162,19 @@ TEST(OrderedSetFacade, HeterogeneousStructuresOneDriver) {
 }
 
 TEST(OrderedSetFacade, HeterogeneousTraversalOneDriver) {
-  // Every traversable structure in the repository behind one erased
-  // handle, driven through the full six-op surface against std::set.
-  // (BidiTrie == LockFreeBinaryTrie: the native-successor core trie.)
-  BidiTrie a(128);
+  // The traversable tries behind one erased handle, driven through the
+  // full six-op surface against std::set.
+  LockFreeBinaryTrie a(128);
   ShardedTrie b(128, 8);
   RelaxedBinaryTrie c(128);
   SeqBinaryTrie d(128);
-  LockFreeSkipList e(128);
-  HarrisSet f(128);
-  CowUniversalSet g(128);
-  VersionedTrie h(128);
-  CoarseLockTrie i_(128);
-  RwLockTrie j(128);
+  VersionedTrie e(128);
   std::vector<AnyOrderedSet> sets;
   sets.emplace_back(a);
   sets.emplace_back(b);
   sets.emplace_back(c);
   sets.emplace_back(d);
   sets.emplace_back(e);
-  sets.emplace_back(f);
-  sets.emplace_back(g);
-  sets.emplace_back(h);
-  sets.emplace_back(i_);
-  sets.emplace_back(j);
   for (auto& s : sets) ASSERT_TRUE(s.supports_traversal());
 
   std::set<Key> ref;

@@ -12,14 +12,10 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/cow_universal.hpp"
-#include "baselines/harris_set.hpp"
-#include "baselines/lf_skiplist.hpp"
-#include "baselines/locked_trie.hpp"
 #include "baselines/seq_binary_trie.hpp"
 #include "baselines/versioned_trie.hpp"
+#include "core/lockfree_trie.hpp"
 #include "ebr_test_util.hpp"
-#include "query/bidi_trie.hpp"
 #include "query/range_scan.hpp"
 #include "relaxed/relaxed_trie.hpp"
 #include "shard/ordered_set.hpp"
@@ -77,28 +73,6 @@ TEST(RangeScan, SeqBinaryTrie) {
   range_scan_differential(t, 1 << 9, 8000, 301);
 }
 
-TEST(RangeScan, LockedTries) {
-  CoarseLockTrie a(1 << 8);
-  range_scan_differential(a, 1 << 8, 6000, 302);
-  RwLockTrie b(1 << 8);
-  range_scan_differential(b, 1 << 8, 6000, 303);
-}
-
-TEST(RangeScan, HarrisSet) {
-  HarrisSet s(1 << 8);
-  range_scan_differential(s, 1 << 8, 6000, 304);
-}
-
-TEST(RangeScan, SkipList) {
-  LockFreeSkipList s(1 << 8);
-  range_scan_differential(s, 1 << 8, 6000, 305);
-}
-
-TEST(RangeScan, CowUniversal) {
-  CowUniversalSet s(1 << 8);
-  range_scan_differential(s, 1 << 8, 3000, 306);
-}
-
 TEST(RangeScan, VersionedTrie) {
   VersionedTrie s(1 << 8);
   range_scan_differential(s, 1 << 8, 6000, 307);
@@ -109,8 +83,8 @@ TEST(RangeScan, RelaxedTrie) {
   range_scan_differential(s, 1 << 8, 6000, 308);
 }
 
-TEST(RangeScan, BidiTrie) {
-  BidiTrie s(1 << 9);
+TEST(RangeScan, LockFreeBinaryTrie) {
+  LockFreeBinaryTrie s(1 << 9);
   range_scan_differential(s, 1 << 9, 8000, 309);
 }
 

@@ -2,8 +2,8 @@
 // recycle discipline on a private instantiation, MemStats accounting,
 // ChunkStore retire-and-reuse, steady-state footprint across whole
 // structure lifetimes (arena chunks + pools + the announcement-cell
-// quarantine all cycling), and a miniature churn soak through the same
-// harness the E13 bench and the CI smoke step use.
+// quarantine all cycling), and the churn-soak leak gate over the flat
+// and sharded tries through the shared soak harness.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +17,7 @@
 #include "reclaim/chunk_retire.hpp"
 #include "reclaim/mem_stats.hpp"
 #include "reclaim/node_pool.hpp"
+#include "shard/sharded_trie.hpp"
 #include "sync/random.hpp"
 #include "workload/soak.hpp"
 
@@ -179,24 +180,52 @@ TEST(Reclaim, StructureLifetimeChurnReachesSteadyFootprint) {
       << "structure-lifetime churn keeps reserving fresh memory";
 }
 
-TEST(Reclaim, ChurnSoakSmokeTailIsFlat) {
-  // The E13 predicate through the same harness the bench and the CI
-  // smoke step use, at unit-test scale.
-  LockFreeBinaryTrie t(1 << 10);
-  SoakConfig cfg;
-  cfg.threads = 2;
-  cfg.windows = 4;
-  cfg.ops_per_thread_per_window = 8000;
-  cfg.universe = 1 << 10;
-  cfg.mix = kUpdateHeavy;
-  const std::vector<SoakWindowSample> samples = churn_soak(t, cfg);
-  ASSERT_EQ(samples.size(), 4u);
+template <class Set>
+void expect_soak_tail_flat(Set& set, const SoakConfig& cfg) {
+  const std::vector<SoakWindowSample> samples = churn_soak(set, cfg);
+  ASSERT_EQ(samples.size(), static_cast<std::size_t>(cfg.windows));
   for (const SoakWindowSample& s : samples) {
     EXPECT_GT(s.ops, 0u);
     EXPECT_GT(s.structure_bytes, 0u);  // the trie reports its arena
     EXPECT_GT(s.pool_bytes, 0u);       // pools saw traffic
   }
-  EXPECT_TRUE(soak_tail_is_flat(samples));
+  const SoakWindowSample& a = samples[samples.size() - 2];
+  const SoakWindowSample& b = samples.back();
+  EXPECT_TRUE(soak_tail_is_flat(samples))
+      << "last two windows: structure bytes " << a.structure_bytes << " -> "
+      << b.structure_bytes << ", pool bytes " << a.pool_bytes << " -> "
+      << b.pool_bytes;
+}
+
+TEST(Reclaim, ChurnSoakSmokeTailIsFlat) {
+  // The leak gate at unit-test scale, over three configurations: the
+  // update-heavy and the balanced (query-carrying, so the P-ALL/notify
+  // machinery stays hot) mix on the flat trie, and update-heavy on
+  // ShardedTrie with S = 8.
+  struct Case {
+    const char* name;
+    OpMix mix;
+    int shards;  // 0: the flat LockFreeBinaryTrie
+  };
+  for (const Case& c : {Case{"flat update-heavy", kUpdateHeavy, 0},
+                        Case{"flat balanced", kBalanced, 0},
+                        Case{"sharded S=8 update-heavy", kUpdateHeavy, 8}}) {
+    SCOPED_TRACE(c.name);
+    SoakConfig cfg;
+    cfg.threads = 2;
+    cfg.windows = 4;
+    cfg.ops_per_thread_per_window = 8000;
+    cfg.universe = 1 << 10;
+    cfg.mix = c.mix;
+    cfg.shards = c.shards;
+    if (c.shards == 0) {
+      LockFreeBinaryTrie t(cfg.universe);
+      expect_soak_tail_flat(t, cfg);
+    } else {
+      ShardedTrie t(cfg.universe, c.shards);
+      expect_soak_tail_flat(t, cfg);
+    }
+  }
 }
 
 TEST(Reclaim, SnapshotReleaseUnpinsVersionNodes) {
@@ -245,7 +274,7 @@ TEST(Reclaim, SnapshotReleaseUnpinsVersionNodes) {
 }
 
 TEST(Reclaim, SnapshotLifetimeSoakStaysFlat) {
-  // The E13 flatness gate over snapshot churn: the soak disturbance takes,
+  // The churn-soak flatness gate over snapshot churn: the soak disturbance takes,
   // scans and releases a burst of SnapshotViews concurrently with every
   // update window. Holding a view pins the epoch and stalls reclamation —
   // the property under test is that RELEASING it lets the tail stay flat

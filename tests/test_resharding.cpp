@@ -3,7 +3,8 @@
 // linearizability with a split in flight, a frozen migration, concurrent
 // splitters serializing on the control plane, a single-writer oracle run
 // across a paused split, and a split/merge churn soak that pins the
-// memory footprint (the E13 leak gate extended to the control plane).
+// memory footprint (the churn-soak leak gate extended to the control
+// plane).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -455,7 +456,7 @@ TEST(Resharding, SingleWriterOracleAcrossCrawlingSplit) {
 // ---- Split/merge churn soak: bounded footprint ---------------------------
 
 TEST(Resharding, SplitMergeChurnSoakStaysFlat) {
-  // The E13 gate extended to the control plane: repeated splits and
+  // The churn-soak leak gate extended to the control plane: repeated splits and
   // merges under update churn must not grow the structure's arenas or
   // the process pools — retired tables, ctls and merge-victim shards
   // all recycle through EBR and the chunk store.

@@ -1,12 +1,13 @@
-// Successor queries across every structure that supports them, checked
-// against std::set. The core trie's successor is native and symmetric
-// (core/lockfree_trie.hpp): the SU-ALL / directional-notification
-// machinery mirrors the paper's predecessor proof inside one structure,
-// so mixed pred+succ histories — including the same-key update races the
-// retired two-view composite could not linearize — are checked here with
-// full Wing–Gong. The key-mirrored MirroredTrie survives as an
-// independent oracle (its successor runs the *predecessor* helper on
-// reflected keys) and is cross-checked against the native path.
+// Successor queries on the sequential reference, the relaxed, versioned,
+// core and sharded tries, checked against std::set. The core trie's
+// successor is native and symmetric (core/lockfree_trie.hpp): the SU-ALL
+// / directional-notification machinery mirrors the paper's predecessor
+// proof inside one structure, so mixed pred+succ histories — including
+// the same-key update races the retired two-view composite could not
+// linearize — are checked here with full Wing–Gong. The key-mirrored
+// MirroredTrie survives as an independent oracle (its successor runs the
+// *predecessor* helper on reflected keys) and is cross-checked against
+// the native path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,15 +15,10 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/cow_universal.hpp"
-#include "baselines/harris_set.hpp"
-#include "baselines/lf_skiplist.hpp"
-#include "baselines/locked_trie.hpp"
 #include "baselines/seq_binary_trie.hpp"
 #include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
 #include "ebr_test_util.hpp"
-#include "query/bidi_trie.hpp"
 #include "query/mirrored_trie.hpp"
 #include "relaxed/relaxed_trie.hpp"
 #include "shard/sharded_trie.hpp"
@@ -76,28 +72,6 @@ TEST(Successor, RelaxedTrieSequentialIsExact) {
       202);
 }
 
-TEST(Successor, LockedTries) {
-  CoarseLockTrie a(1 << 9);
-  successor_differential(a, plain_succ, 1 << 9, 10000, 203);
-  RwLockTrie b(1 << 9);
-  successor_differential(b, plain_succ, 1 << 9, 10000, 204);
-}
-
-TEST(Successor, HarrisSet) {
-  HarrisSet s(1 << 9);
-  successor_differential(s, plain_succ, 1 << 9, 10000, 205);
-}
-
-TEST(Successor, SkipList) {
-  LockFreeSkipList s(1 << 9);
-  successor_differential(s, plain_succ, 1 << 9, 10000, 206);
-}
-
-TEST(Successor, CowUniversal) {
-  CowUniversalSet s(1 << 9);
-  successor_differential(s, plain_succ, 1 << 9, 5000, 207);
-}
-
 TEST(Successor, VersionedTrie) {
   VersionedTrie s(1 << 9);
   successor_differential(s, plain_succ, 1 << 9, 10000, 208);
@@ -145,23 +119,10 @@ TEST(Successor, NativeRangeScanWalk) {
   }
 }
 
-// ---- The query layer: mirrored oracle and the retained alias ---------------
-
-TEST(Successor, MirroredTrie) {
-  MirroredTrie t(1 << 10);
-  successor_differential(t, plain_succ, 1 << 10, 20000, 210);
-}
-
-TEST(Successor, BidiTrie) {
-  BidiTrie t(1 << 10);
-  successor_differential(t, plain_succ, 1 << 10, 20000, 211);
-}
-
-TEST(Successor, BidiTrieBothDirectionsAgree) {
+TEST(Successor, NativeBothDirectionsAgree) {
   // Both query directions must answer consistently with one std::set
-  // reference (trivially one abstract state now — BidiTrie is the core
-  // trie; kept as a regression net for the directional code paths).
-  BidiTrie t(1 << 9);
+  // reference: a regression net for the directional code paths.
+  LockFreeBinaryTrie t(1 << 9);
   std::set<Key> ref;
   Xoshiro256 rng(212);
   for (int i = 0; i < 20000; ++i) {
@@ -185,6 +146,12 @@ TEST(Successor, BidiTrieBothDirectionsAgree) {
       }
     }
   }
+}
+
+// The key-mirrored oracle: successor through the predecessor helper.
+TEST(Successor, MirroredTrie) {
+  MirroredTrie t(1 << 10);
+  successor_differential(t, plain_succ, 1 << 10, 20000, 210);
 }
 
 TEST(Successor, ShardedTrie) {
@@ -363,12 +330,6 @@ void single_writer_successor_oracle(Set& set, Key universe, int readers,
     ASSERT_EQ(oracle.validate(logs[r]), -1)
         << "reader " << r << " observed a non-linearizable successor";
   }
-}
-
-TEST(SuccessorLinearizability, BidiTrieSingleWriterOracle) {
-  BidiTrie t(48);
-  single_writer_successor_oracle(t, 48, /*readers=*/3, /*writer_ops=*/3000,
-                                 /*reads_per_thread=*/4000, 217);
 }
 
 TEST(SuccessorLinearizability, ShardedTrieSingleWriterOracle) {

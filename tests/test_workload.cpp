@@ -4,12 +4,10 @@
 
 #include <map>
 
-#include "baselines/cow_universal.hpp"
-#include "baselines/harris_set.hpp"
-#include "baselines/lf_skiplist.hpp"
-#include "baselines/locked_trie.hpp"
+#include "baselines/locked_map.hpp"
+#include "baselines/seq_binary_trie.hpp"
 #include "baselines/versioned_trie.hpp"
-#include "query/bidi_trie.hpp"
+#include "core/lockfree_trie.hpp"
 #include "relaxed/relaxed_trie.hpp"
 #include "shard/sharded_trie.hpp"
 #include "workload/harness.hpp"
@@ -85,7 +83,7 @@ TEST(Harness, RunsFixedOpCountAndReportsThroughput) {
   cfg.ops_per_thread = 5000;
   cfg.universe = 1 << 10;
   cfg.mix = kBalanced;
-  auto res = bench_fresh<CoarseLockTrie>(cfg);
+  auto res = bench_fresh<LockedStdSet>(cfg);
   EXPECT_EQ(res.total_ops, 10000u);
   EXPECT_GT(res.mops_per_sec, 0.0);
   EXPECT_GT(res.elapsed_sec, 0.0);
@@ -98,7 +96,7 @@ TEST(Harness, LatencySamplingProducesSortedSamples) {
   cfg.universe = 1 << 10;
   cfg.sample_latency = true;
   cfg.latency_sample_every = 16;
-  auto res = bench_fresh<CoarseLockTrie>(cfg);
+  auto res = bench_fresh<LockedStdSet>(cfg);
   ASSERT_FALSE(res.latencies_ns.empty());
   EXPECT_TRUE(std::is_sorted(res.latencies_ns.begin(), res.latencies_ns.end()));
   EXPECT_LE(res.latency_pct(0.5), res.latency_pct(0.99));
@@ -126,7 +124,7 @@ TEST(Harness, TraversalMixRunsAndCountsScans) {
 
   // The same mix drives the paper's trie directly (native successor).
   Stats::reset();
-  auto res2 = bench_fresh<BidiTrie>(cfg);
+  auto res2 = bench_fresh<LockFreeBinaryTrie>(cfg);
   EXPECT_EQ(res2.total_ops, 8000u);
   EXPECT_GT(res2.steps.scan_ops, 1000u);
 }
@@ -136,7 +134,7 @@ void traversal_mix_smoke() {
   BenchConfig cfg;
   // Single-threaded: SeqBinaryTrie is in the sweep and is not a
   // concurrent structure (multi-thread traversal coverage lives in
-  // TraversalMixRunsAndCountsScans and the E10 bench).
+  // TraversalMixRunsAndCountsScans).
   cfg.threads = 1;
   cfg.ops_per_thread = 1000;
   cfg.universe = 1 << 8;
@@ -152,25 +150,21 @@ void traversal_mix_smoke() {
 TEST(Harness, TraversalMixAcrossEveryTraversableStructure) {
   // The acceptance bar for the query subsystem: the workload harness
   // exercises successor AND range_scan against every traversable
-  // structure (BidiTrie == the paper's trie, native successor). Tiny op
-  // counts — this is a does-it-run-everywhere gate, not a benchmark.
-  traversal_mix_smoke<BidiTrie>();
+  // structure. Tiny op counts — this is a does-it-run-everywhere gate,
+  // not a benchmark.
+  traversal_mix_smoke<LockFreeBinaryTrie>();
   traversal_mix_smoke<ShardedTrie>();
   traversal_mix_smoke<RelaxedBinaryTrie>();
   traversal_mix_smoke<SeqBinaryTrie>();
-  traversal_mix_smoke<LockFreeSkipList>();
-  traversal_mix_smoke<HarrisSet>();
-  traversal_mix_smoke<CowUniversalSet>();
   traversal_mix_smoke<VersionedTrie>();
-  traversal_mix_smoke<CoarseLockTrie>();
-  traversal_mix_smoke<RwLockTrie>();
+  traversal_mix_smoke<LockedStdSet>();
 }
 
 TEST(Harness, PrefillRespectsExplicitCount) {
   BenchConfig cfg;
   cfg.universe = 1 << 12;
   cfg.prefill_keys = 100;
-  CoarseLockTrie set(cfg.universe);
+  LockedStdSet set(cfg.universe);
   prefill(set, cfg);
   // At most 100 (duplicates collapse), definitely nonzero.
   int count = 0;
