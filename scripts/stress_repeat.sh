@@ -7,11 +7,12 @@
 #
 #   usage: scripts/stress_repeat.sh N [build-dir]   (default build)
 #
-# Prints one "test: failures/N" line per binary (filter in brackets) and
+# Prints one "test: failures/N" line per suite (filter in brackets) and
 # exits non-zero if any run failed. Logs of failing runs are kept under
 # STRESS_LOG_DIR (default <build-dir>/stress-logs) as
-# <binary>.<run>.log; a run is cut after 300 s. Not registered with
-# ctest: tier-1 stays one pass.
+# <binary>.<suite>.<run>.log, with the failing round's history in them;
+# a run is cut after 300 s. Not registered with ctest: tier-1 stays one
+# pass.
 set -u
 
 N="${1:-}"
@@ -24,11 +25,14 @@ if ! [[ "$N" =~ ^[1-9][0-9]*$ ]]; then
 fi
 mkdir -p "$LOG_DIR"
 
-# binary  gtest filter (Wing–Gong + oracle tests of that binary)
+# binary  gtest filter (Wing–Gong + oracle tests of that binary)  [extra
+# gtest flags]. The striped hot-window oracle documents an open defect
+# (ROADMAP item 1(b)), so it is disabled in tier-1 and only runs here.
 SUITES=(
   "test_resharding Resharding.Linearizable*:Resharding.SingleWriter*:Resharding.Frozen*:Resharding.ConcurrentSplits*"
   "test_atomic_scan *WingGong*:*Oracle*"
   "test_lockfree_trie_concurrent *SingleWriterOracle*"
+  "test_lockfree_trie_concurrent *StripedHotWindowOracle* --gtest_also_run_disabled_tests"
   "test_successor SuccessorLinearizability.*"
   "test_serve *WingGong*"
   "test_fused_query FusedQueryLinearizability.*:*StalledFusedDeleteUnderConcurrentQueries"
@@ -36,9 +40,8 @@ SUITES=(
 )
 
 fail=0
-for suite in "${SUITES[@]}"; do
-  bin="${suite%% *}"
-  filter="${suite#* }"
+for s in "${!SUITES[@]}"; do
+  read -r bin filter flags <<<"${SUITES[$s]}"
   if [ ! -x "$BUILD_DIR/$bin" ]; then
     echo "$bin: missing from $BUILD_DIR" >&2
     fail=1
@@ -46,10 +49,10 @@ for suite in "${SUITES[@]}"; do
   fi
   failures=0
   for i in $(seq "$N"); do
-    log="$LOG_DIR/$bin.$i.log"
+    log="$LOG_DIR/$bin.$s.$i.log"
     # A run that outlives the timeout counts as a failure: a
     # non-linearizable history can send the Wing–Gong search exponential.
-    if timeout 300 "$BUILD_DIR/$bin" --gtest_filter="$filter" >"$log" 2>&1; then
+    if timeout 300 "$BUILD_DIR/$bin" --gtest_filter="$filter" $flags >"$log" 2>&1; then
       rm -f "$log"
     else
       failures=$((failures + 1))

@@ -107,19 +107,16 @@ void accept_notification(const NotifyNode* nn, int side, DirScratch& ds) {
 LockFreeBinaryTrie::LockFreeBinaryTrie(Key universe)
     : core_(universe, arena_),
       quarantine_(new CellQuarantine),
-      uall_(kUall, /*descending=*/false, /*quarantine=*/nullptr),
-      position_lists_{AnnounceList(kRuall, /*descending=*/true, quarantine_),
-                      AnnounceList(kSuall, /*descending=*/false, quarantine_)} {
-  quarantine_->set_roots(&pall_, position_lists_[kPredSide].head(),
-                         position_lists_[kSuccSide].head());
+      lists_{AnnounceList(kPredSide, quarantine_),
+             AnnounceList(kSuccSide, quarantine_)} {
+  quarantine_->set_roots(&pall_, ruall().head(), uall().head());
 }
 
 LockFreeBinaryTrie::~LockFreeBinaryTrie() {
   core_.drain_resident_for_destruction();
   // Cells still chained belong to resident nodes' canonical announcements;
   // quiescence makes the raw walks safe.
-  uall_.release_all_cells_for_destruction();
-  for (AnnounceList& l : position_lists_) l.release_all_cells_for_destruction();
+  for (AnnounceList& l : lists_) l.release_all_cells_for_destruction();
   // Last: the quarantine flushes what it holds and severs the root
   // pointers into this object; it deletes itself once the final in-flight
   // stage-1 deleter (possibly on another thread's EBR limbo) lands.
@@ -135,17 +132,17 @@ bool LockFreeBinaryTrie::contains(Key x) {
 }
 
 void LockFreeBinaryTrie::announce(UpdateNode* u) {
-  // U-ALL before RU-ALL before SU-ALL; retract() keeps the same order.
-  // Lemma 5.19's argument needs visible U-ALL presence to imply visible
-  // RU-ALL presence once activated; the mirrored argument for successor
-  // needs the same of the SU-ALL, and both hold under this one ordering.
-  uall_.insert(u);
-  for (AnnounceList& l : position_lists_) l.insert(u);
+  // U-ALL before RU-ALL; retract() keeps the same order. Lemma 5.19's
+  // argument needs visible U-ALL presence to imply visible RU-ALL
+  // presence once activated. Its successor mirror asks the same of the
+  // successor position list, which is the U-ALL itself.
+  uall().insert(u);
+  ruall().insert(u);
 }
 
 void LockFreeBinaryTrie::retract(UpdateNode* u) {
-  uall_.remove(u);
-  for (AnnounceList& l : position_lists_) l.remove(u);
+  uall().remove(u);
+  ruall().remove(u);
 }
 
 // Paper l.128–136.
@@ -285,8 +282,9 @@ bool LockFreeBinaryTrie::erase_op(Key x) {
 // push_back replaces the old push_unique scan.
 void LockFreeBinaryTrie::traverse_uall_fused(Key x, UallBufs* below,
                                              UallBufs* above) {
-  for (AnnCell* c = uall_.next_visible(uall_.head()); c != uall_.tail();
-       c = uall_.next_visible(c)) {
+  AnnounceList& list = uall();
+  for (AnnCell* c = list.next_visible(list.head()); c != list.tail();
+       c = list.next_visible(c)) {
     Stats::count_read();
     if (c->key >= x && above == nullptr) break;
     if (c->key == x) continue;
@@ -301,7 +299,7 @@ void LockFreeBinaryTrie::traverse_uall_fused(Key x, UallBufs* below,
 
 // Paper l.146–155, serving all three announcement kinds: per side the
 // target announces, the threshold is its current position in that
-// side's list (RU-ALL / SU-ALL) and the recorded U-ALL extremum is the
+// side's list (RU-ALL / U-ALL) and the recorded U-ALL extremum is the
 // INS node nearest its key on that side. A fused target receives ONE
 // notify node carrying both sides.
 void LockFreeBinaryTrie::notify_query_ops(UpdateNode* u) {
@@ -369,13 +367,13 @@ void LockFreeBinaryTrie::notify_query_ops(UpdateNode* u) {
 // Paper l.257–269 and its mirror. Advances the side's position word
 // with atomic copies and collects first-activated update nodes on that
 // side of the key: key < p->key walking the descending RU-ALL on the
-// predecessor side, key > p->key walking the ascending SU-ALL on the
+// predecessor side, key > p->key walking the ascending U-ALL on the
 // successor side. Each node appears at most once (canonical cells,
 // strictly advancing single-writer position), so the sorted-set inserts
 // serve as the membership index, not as dedup.
 void LockFreeBinaryTrie::traverse_position_list(PredecessorNode* p, int side,
                                                 DirScratch& ds) {
-  AnnounceList& list = position_lists_[side];
+  AnnounceList& list = lists_[side];
   AtomicCopyWord& pos = p->position[side];
   const Key y = p->key;
   AnnCell* u = AnnounceList::strip(pos.read());
@@ -388,7 +386,7 @@ void LockFreeBinaryTrie::traverse_position_list(PredecessorNode* p, int side,
       // Canonicity check (`ann_cell == u`) filters cells spliced by
       // helpers that lost the announcement claim; see announce_list.hpp.
       if (n->status.load() != UpdateNode::kInactive &&
-          n->ann_cell[kRuall + side].load() == u && core_.first_activated(n)) {
+          n->ann_cell[side].load() == u && core_.first_activated(n)) {
         if (n->type == NodeType::kIns) {
           ds.i_pos_set.insert(n);
         } else if (ds.d_pos_set.insert(n)) {
@@ -434,7 +432,7 @@ LockFreeBinaryTrie::QueryAnswer LockFreeBinaryTrie::query_helper_fused(
     for (int side = 0; side < kNumSides; ++side) {
       if (has_side(dir, side)) {
         p_node->position[side].store(
-            AnnounceList::pack(position_lists_[side].head()));
+            AnnounceList::pack(lists_[side].head()));
       }
     }
     pall_.push(p_node);  // l.209 — the ONE announce point for all sides
@@ -529,7 +527,7 @@ Key LockFreeBinaryTrie::direction_answer(Key y, int side,
 
 // Paper l.231–251, parameterized by side: recover a candidate from
 // embedded-query results when the relaxed traversal returned ⊥ and old
-// deletes (Dpos: the Druall of the paper, or its SU-ALL mirror) are in
+// deletes (Dpos: the Druall of the paper, or its U-ALL mirror) are in
 // flight. The TL graph's edges are key -> del_ans2[side]: strictly
 // decreasing on the predecessor side (the paper's delPred2), strictly
 // increasing on the successor side; either way walks terminate at

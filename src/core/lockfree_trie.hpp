@@ -16,10 +16,10 @@
 //    the wait-free RelaxedPredecessor / RelaxedSuccessor traversals;
 //  * per-key latest lists (latest[x] plus latestNext), length <= 2, whose
 //    first *activated* node encodes membership;
-//  * the U-ALL / RU-ALL update announcement lists (AnnounceList), joined
-//    by the SU-ALL — an *ascending* copy traversed by successor
-//    operations with announced positions, the exact mirror image of the
-//    descending RU-ALL that predecessor operations traverse;
+//  * the U-ALL / RU-ALL update announcement lists (AnnounceList), one
+//    position list per query side: predecessor operations walk the
+//    descending RU-ALL with announced positions, successor operations
+//    the ascending U-ALL — its exact mirror image under the key order;
 //  * the P-ALL announcement list with per-query notify lists (PAll /
 //    NotifyList), holding single-direction announcements and the fused
 //    direction pairs (PredecessorNode::dir == QueryDir::kBoth);
@@ -35,7 +35,7 @@
 // trie means one abstract state, so histories mixing predecessor and
 // successor — including same-key update races — are linearizable on a
 // single object, and updates stop paying for a second full trie. An
-// insert pays one extra announcement cell; a delete pays two embedded
+// update announces in the paper's two lists; a delete pays two embedded
 // fused queries — one P-ALL announcement each, answering both
 // directions from a single announce point, where the pre-fused design
 // ran four single-direction helpers. See docs/DESIGN.md, "Symmetric
@@ -192,7 +192,7 @@ class LockFreeBinaryTrie {
   template <bool Crash>
   bool erase_op(Key x);
 
-  void announce(UpdateNode* u);  // insert into U-ALL, RU-ALL, SU-ALL (order!)
+  void announce(UpdateNode* u);  // insert into U-ALL, then RU-ALL (order!)
   void retract(UpdateNode* u);   // remove in the same order
   void help_activate(UpdateNode* u);                       // l.128–136
   // One pass over the U-ALL serving both directions (l.137–145 and its
@@ -233,17 +233,18 @@ class LockFreeBinaryTrie {
 
   NodeArena arena_;
   TrieCore core_;
-  /// Reclamation staging for retired RU-ALL/SU-ALL cells (their pointers
+  /// Reclamation staging for retired announcement cells (their pointers
   /// escape into position words, so they need the pinned-set scavenge of
   /// reclaim/cell_quarantine.hpp). Owned, but deliberately not a member:
   /// stage-1 retirements may outlive the trie in other threads' EBR
   /// limbo, so it is refcounted and self-deleting — the destructor only
   /// detaches. Declared before the lists, which capture the pointer.
   CellQuarantine* quarantine_;
-  AnnounceList uall_;
-  // Per-side position lists: the RU-ALL, and its ascending mirror the
-  // SU-ALL (successor ops).
-  AnnounceList position_lists_[kNumSides];
+  // Per-side position lists: the RU-ALL on kPredSide, the U-ALL on
+  // kSuccSide (also the list every update and query helper snapshots).
+  AnnounceList lists_[kNumSides];
+  AnnounceList& ruall() noexcept { return lists_[kPredSide]; }
+  AnnounceList& uall() noexcept { return lists_[kSuccSide]; }
   PAll pall_;
   // |S| tracker for size()/empty(). Updated only by the thread whose CAS
   // on latest[x] installed the node (helpers never touch it), so every

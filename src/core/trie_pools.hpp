@@ -72,7 +72,7 @@ inline void reset_update_base(UpdateNode* n) {
   n->target.store(nullptr);
   n->stop.store(false);
   n->completed.store(false);
-  for (int s = 0; s < kNumAnnSlots; ++s) n->ann_cell[s].store(nullptr);
+  for (auto& cell : n->ann_cell) cell.store(nullptr);
 }
 
 /// Pool of INS update nodes (plain UpdateNode).

@@ -28,8 +28,8 @@ enum class NodeType : uint8_t { kIns = 0, kDel = 1 };
 /// Query sides. Every per-direction field of the full trie is an array
 /// indexed by side: index kPredSide holds the paper's Predecessor
 /// machinery (RU-ALL position, notification threshold, U-ALL extremum
-/// below the key), index kSuccSide its key-order mirror (SU-ALL,
-/// extremum above the key).
+/// below the key), index kSuccSide its key-order mirror (U-ALL
+/// position, extremum above the key).
 enum : int { kPredSide = 0, kSuccSide = 1, kNumSides = 2 };
 
 }  // namespace lfbt

@@ -18,12 +18,11 @@ struct UpdateNode;
 struct DelNode;
 struct PredecessorNode;
 
-/// A cell of the U-ALL, RU-ALL or SU-ALL (paper Section 5.1, with the
-/// SU-ALL being this repository's successor-direction mirror of the
-/// RU-ALL). Cells are separate from update nodes so that several helpers
-/// can race to announce the same update node: each splices its own cell,
-/// then one claims canonicity via CAS on UpdateNode::ann_cell (see
-/// AnnounceList for the full protocol).
+/// A cell of the U-ALL or the RU-ALL (paper Section 5.1). Cells are
+/// separate from update nodes so that several helpers can race to
+/// announce the same update node: each splices its own cell, then one
+/// claims canonicity via CAS on UpdateNode::ann_cell (see AnnounceList
+/// for the full protocol).
 ///
 /// `next` packs a Cell* with a removal mark in bit 1. Bit 0 stays clear:
 /// it is the descriptor tag of AtomicCopyWord, which copies these words
@@ -40,23 +39,16 @@ struct AnnCell {
   std::atomic<AnnCell*> retire_next{nullptr};
 };
 
-/// Tombstone installed in UpdateNode::ann_cell[slot] when the announcement
+/// Tombstone installed in UpdateNode::ann_cell[side] when the announcement
 /// is retracted. The install CAS claims the retraction exactly once (the
 /// owner and any helper may both retract, l.135), so only one of them
 /// marks, unlinks and retires the cell — a second retract against a cell
 /// that may already be recycled must never touch it. Traversals' canonicity
-/// checks (`cell->node->ann_cell[slot] == cell`) reject the tombstone for
+/// checks (`cell->node->ann_cell[side] == cell`) reject the tombstone for
 /// free; visibility of the announcement now ends at this CAS rather than at
 /// the removal mark, which only strengthens the U-ALL-before-RU-ALL
 /// removal-ordering argument (Lemma 5.19).
 inline AnnCell* const kCellRetracted = reinterpret_cast<AnnCell*>(uintptr_t(1));
-
-/// Announcement-list slots of UpdateNode::ann_cell. kUall/kRuall are the
-/// paper's lists; kSuall is the ascending successor-direction mirror of
-/// the RU-ALL added by the native symmetric successor (see
-/// core/lockfree_trie.hpp). The position list of query side `s` claims
-/// slot kRuall + s.
-enum : int { kUall = 0, kRuall = 1, kSuall = 2, kNumAnnSlots = 3 };
 
 /// Side mask of an announced query operation: bit `s` set means the
 /// announcement serves side `s`. `kBoth` tags a *fused* direction-pair
@@ -109,13 +101,13 @@ struct UpdateNode {
   /// Set when the op finished updating the trie + notifying (l.178/204).
   std::atomic<bool> completed{false};
 
-  /// Canonical announcement cells (kUall / kRuall / kSuall); set once by
-  /// the claim CAS in AnnounceList::insert, read by remove and by
-  /// traversals for the canonicity check.
-  std::atomic<AnnCell*> ann_cell[kNumAnnSlots] = {{nullptr}, {nullptr}, {nullptr}};
+  /// Canonical announcement cells, indexed by the side whose position
+  /// list holds them: the RU-ALL cell on kPredSide, the U-ALL cell on
+  /// kSuccSide. Set once by the claim CAS in AnnounceList::insert, read
+  /// by remove and by traversals for the canonicity check.
+  std::atomic<AnnCell*> ann_cell[kNumSides] = {{nullptr}, {nullptr}};
 
   bool is_del() const noexcept { return type == NodeType::kDel; }
-  DelNode* as_del() noexcept;
 
   static constexpr uint8_t kInactive = 0;
   static constexpr uint8_t kActive = 1;
@@ -221,10 +213,6 @@ struct DelNode : UpdateNode {
   std::atomic<Key> del_ans2[kNumSides] = {kUnsetPred, kUnsetPred};
 };
 
-inline DelNode* UpdateNode::as_del() noexcept {
-  return is_del() ? static_cast<DelNode*>(this) : nullptr;
-}
-
 /// A notification pushed by an update operation onto an announced query
 /// node's notify list (paper lines 109–113). Immutable after publication.
 /// The per-side fields are written for every side the target announces
@@ -238,7 +226,7 @@ struct NotifyNode {
   /// (paper l.153), on kSuccSide the INS node with the smallest key >
   /// the target's key. May be null.
   UpdateNode* ext[kNumSides] = {nullptr, nullptr};
-  /// Key of the RU-ALL (kPredSide) / SU-ALL (kSuccSide) cell the query
+  /// Key of the RU-ALL (kPredSide) / U-ALL (kSuccSide) cell the query
   /// operation was visiting when notified (paper l.154).
   Key threshold[kNumSides] = {kPosInf, kNegInf};
   /// List link while published; free-list link while the node rests in
@@ -274,7 +262,7 @@ struct PredecessorNode {
   std::atomic<NotifyNode*> notify_head{nullptr};
 
   /// Position-list cell currently visited on each announced side — an
-  /// RU-ALL cell on kPredSide, an SU-ALL cell on kSuccSide (the paper's
+  /// RU-ALL cell on kPredSide, a U-ALL cell on kSuccSide (the paper's
   /// RuallPosition and its mirror); single-writer atomic copy targets
   /// (see atomic_copy.hpp). Each holds an AnnCell* word, possibly with
   /// the list mark (bit 1) set — strip with AnnCell masks. Sides `dir`

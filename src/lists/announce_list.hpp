@@ -1,22 +1,22 @@
-// U-ALL / RU-ALL / SU-ALL: the update announcement linked lists of
-// Section 5, plus the successor-direction mirror of the RU-ALL.
+// U-ALL / RU-ALL: the update announcement linked lists of Section 5.
 //
 // A Harris-style sorted lock-free linked list of AnnCells. The U-ALL is
 // ascending (head sentinel -inf), the RU-ALL descending (head sentinel
-// +inf); both insert a node *after* all cells with an equal key, which for
-// the RU-ALL yields "descending by key, then by insertion order" as the
-// paper requires. The SU-ALL (slot kSuall) is a third instance, ascending
-// like the U-ALL, traversed by successor operations with announced
-// positions — "ascending by key, then by insertion order" is exactly the
-// RU-ALL invariant reflected through the key order, so the mirrored
-// proof obligations hold with no new list machinery.
+// +inf); both insert a node *after* all cells with an equal key, which
+// for the RU-ALL yields "descending by key, then by insertion order" as
+// the paper requires. Each list is the position list of one query side:
+// predecessors walk the RU-ALL with announced positions, and successors
+// walk the U-ALL, whose order ("ascending by key, then by insertion
+// order") is exactly the RU-ALL invariant reflected through the key
+// order. A list is therefore built from its side alone: the side picks
+// the sort order and the UpdateNode::ann_cell slot it claims.
 //
 // Idempotent multi-helper insertion (needed by HelpActivate, l.130): any
 // number of threads may concurrently announce the SAME update node. Each
 // splices its own fresh cell, then tries to claim canonicity with
-//   CAS(node->ann_cell[slot], nullptr, my_cell).
+//   CAS(node->ann_cell[side], nullptr, my_cell).
 // Exactly one cell wins; losers immediately mark their cell removed.
-// Traversals only accept a cell c if node->ann_cell[slot] == c, so a
+// Traversals only accept a cell c if node->ann_cell[side] == c, so a
 // spurious (losing) cell is never observed as an announcement. This keeps
 // the paper's crucial ordering invariant — visible U-ALL presence is
 // bracketed by the claim CAS and the retraction's tombstone CAS, which the
@@ -24,19 +24,18 @@
 // removal (Lemma 5.19 depends on removal happening in the U-ALL first).
 //
 // Removal marks use bit 1 of `next` (bit 0 is reserved by AtomicCopyWord,
-// which copies RU-ALL/SU-ALL next words into query announcements).
+// which copies both lists' next words into query announcements).
 //
 // Memory: cells come from the process-wide AnnCellPool. Retraction claims
-// the cell exactly once by CASing ann_cell[slot] to kCellRetracted (owner
+// the cell exactly once by CASing ann_cell[side] to kCellRetracted (owner
 // and helper may both retract; only the claim winner marks, unlinks and
-// retires). Retired U-ALL cells go straight through one EBR grace period;
-// RU-ALL/SU-ALL cells — whose pointers escape into announcement position
-// words — route through the owning trie's CellQuarantine, which releases
-// them only once they are unreachable from every position word and list
-// chain (the full argument lives in reclaim/cell_quarantine.hpp). CAS
-// expected-value comparisons stay ABA-free because a cell re-enters
-// circulation only after a grace period no in-flight comparison's guard
-// can span.
+// retires). Cell pointers of both lists escape into announcement position
+// words, so every retired cell routes through the owning trie's
+// CellQuarantine, which releases it only once it is unreachable from
+// every position word and list chain (the full argument lives in
+// reclaim/cell_quarantine.hpp). CAS expected-value comparisons stay
+// ABA-free because a cell re-enters circulation only after a grace
+// period no in-flight comparison's guard can span.
 #pragma once
 
 #include <cassert>
@@ -59,15 +58,13 @@ class AnnounceList {
   static bool marked(uintptr_t w) noexcept { return (w & kMark) != 0; }
   static uintptr_t pack(AnnCell* c) noexcept { return reinterpret_cast<uintptr_t>(c); }
 
-  /// `slot` selects which UpdateNode::ann_cell entry this list claims
-  /// (kUall, kRuall or kSuall); `descending` picks the sort order.
-  /// `quarantine` is required for lists whose cell pointers are copied
-  /// into position words (RU-ALL / SU-ALL); the U-ALL passes nullptr and
-  /// retired cells take the direct one-grace-period path.
-  AnnounceList(int slot, bool descending, CellQuarantine* quarantine)
-      : quarantine_(quarantine), slot_(slot), descending_(descending) {
-    head_.key = descending ? kPosInf : kNegInf;
-    tail_.key = descending ? kNegInf : kPosInf;
+  /// The position list of query side `side`: the descending RU-ALL on
+  /// kPredSide, the ascending U-ALL on kSuccSide. Retired cells go to
+  /// `quarantine`, which must outlive every retirement.
+  AnnounceList(int side, CellQuarantine* quarantine)
+      : quarantine_(quarantine), side_(side) {
+    head_.key = descending() ? kPosInf : kNegInf;
+    tail_.key = descending() ? kNegInf : kPosInf;
     head_.next.store(pack(&tail_));
   }
 
@@ -75,24 +72,24 @@ class AnnounceList {
   AnnounceList& operator=(const AnnounceList&) = delete;
 
   /// Announce `n`. Safe to call from any number of helpers concurrently;
-  /// after return, n->ann_cell[slot] is non-null (the canonical cell, or
+  /// after return, n->ann_cell[side] is non-null (the canonical cell, or
   /// the retraction tombstone if the announcement already came and went).
   void insert(UpdateNode* n) {
     // Own guard (reentrant under the trie's op guard): chain walks must
     // be EBR-protected now that cells recycle, including unguarded
     // callers (unit tests, benches).
     ebr::Guard guard;
-    if (n->ann_cell[slot_].load() != nullptr) return;  // already announced
+    if (n->ann_cell[side_].load() != nullptr) return;  // already announced
     AnnCell* cell = AnnCellPool::acquire(n->key, n);
     splice(cell);
     AnnCell* expected = nullptr;
-    if (!n->ann_cell[slot_].compare_exchange_strong(expected, cell)) {
+    if (!n->ann_cell[side_].compare_exchange_strong(expected, cell)) {
       // Another helper's cell is canonical; ours must never be observed as
       // an announcement (traversals check canonicity) — retire it. The
       // loser is this cell's sole owner, so no claim step is needed.
       mark(cell);
       unlink(cell);
-      retire_cell(cell);
+      quarantine_->retire(cell);
     }
   }
 
@@ -103,15 +100,15 @@ class AnnounceList {
   /// a second pass must never touch a cell the pool may have reissued.
   void remove(UpdateNode* n) {
     ebr::Guard guard;  // see insert()
-    AnnCell* cell = n->ann_cell[slot_].load();
+    AnnCell* cell = n->ann_cell[side_].load();
     assert(cell != nullptr);
     if (cell == kCellRetracted) return;
-    if (!n->ann_cell[slot_].compare_exchange_strong(cell, kCellRetracted)) {
+    if (!n->ann_cell[side_].compare_exchange_strong(cell, kCellRetracted)) {
       return;  // another retirer claimed it
     }
     mark(cell);
     unlink(cell);
-    retire_cell(cell);
+    quarantine_->retire(cell);
   }
 
   /// Head sentinel (key -inf ascending / +inf descending).
@@ -129,22 +126,15 @@ class AnnounceList {
     while (cur != &tail_) {
       uintptr_t w = cur->next.load();
       Stats::count_read();
-      if (!marked(w) && cur->node->ann_cell[slot_].load() == cur) return cur;
+      if (!marked(w) && cur->node->ann_cell[side_].load() == cur) return cur;
       cur = strip(w);
     }
     return cur;
   }
 
-  /// Raw next word of `c` (for the RU-ALL/SU-ALL atomic-copy traversals).
+  /// Raw next word of `c` (for the position-list atomic-copy traversals).
   const std::atomic<uintptr_t>* next_word(const AnnCell* c) const noexcept {
     return &c->next;
-  }
-
-  /// True if `c` currently represents a visible announcement of its node.
-  bool visible(AnnCell* c) const {
-    ebr::Guard guard;  // see insert()
-    return c != &head_ && c != &tail_ && !marked(c->next.load()) &&
-           c->node->ann_cell[slot_].load() == c;
   }
 
   /// Destructor-time reclamation (requires quiescence): hand every cell
@@ -163,10 +153,12 @@ class AnnounceList {
   }
 
  private:
+  bool descending() const noexcept { return side_ == kPredSide; }
+
   /// key ordering: does `a` precede position of key `k`?
   bool precedes(Key a, Key k) const noexcept {
     // Insert after equal keys: strictly-precedes-or-equal keeps advancing.
-    return descending_ ? a >= k : a <= k;
+    return descending() ? a >= k : a <= k;
   }
 
   /// Harris search: positions (pred, curr) with pred unmarked at read
@@ -228,19 +220,8 @@ class AnnounceList {
     search(cell->key, pred, curr);
   }
 
-  /// Stage-1 retirement of a marked, claim-won cell (see the header
-  /// comment for the U-ALL vs RU-ALL/SU-ALL split).
-  void retire_cell(AnnCell* cell) {
-    if (quarantine_ != nullptr) {
-      quarantine_->retire(cell);
-    } else {
-      AnnCellPool::release(cell);
-    }
-  }
-
   CellQuarantine* quarantine_;
-  const int slot_;
-  const bool descending_;
+  const int side_;
   // False-sharing fix (E16 audit): head_.next is the most-CASed word of
   // every announce list (all inserts splice at or walk from it, and the
   // head-adjacent unlink CAS lands there too), and unpadded it shared a

@@ -14,8 +14,9 @@
 // history with every key relabelled by the bijection m, so the Section 5
 // linearizability proof applies verbatim.
 //
-// Role today. The core trie answers successor natively (the SU-ALL /
-// directional-notification machinery of core/lockfree_trie.hpp), so no
+// Role today. The core trie answers successor natively (the U-ALL
+// position / directional-notification machinery of
+// core/lockfree_trie.hpp), so no
 // production structure routes successor through this view any more —
 // ShardedTrie's shards are single core tries. What makes MirroredTrie worth keeping is exactly what
 // made it correct: its successor goes through a *different* code path

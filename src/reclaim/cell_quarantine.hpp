@@ -1,23 +1,19 @@
-// Announcement-cell reclamation: the pool the U-ALL / RU-ALL / SU-ALL
-// draw their cells from, and the per-trie quarantine that makes recycling
-// RU-ALL / SU-ALL cells sound despite their pointers escaping into query
+// Announcement-cell reclamation: the pool the U-ALL and RU-ALL draw
+// their cells from, and the per-trie quarantine that makes recycling
+// those cells sound although their pointers escape into query
 // announcements' position words (AtomicCopyWord copies of cell `next`
-// words — see sync/atomic_copy.hpp and PredecessorNode::position).
+// words — see sync/atomic_copy.hpp and PredecessorNode::position; the
+// RU-ALL is the predecessor side's position list, the U-ALL the
+// successor side's).
 //
-// Why U-ALL and RU-ALL/SU-ALL differ:
-//  * U-ALL cell pointers live only in the list chain, in ann_cell[kUall]
-//    (tombstoned before retirement) and in guarded traversals. One EBR
-//    grace period after the retract therefore suffices — the list routes
-//    them straight through AnnCellPool::release.
-//  * RU-ALL/SU-ALL cell pointers are additionally copied into
-//    announcement position words, which outlive any guard (a stalled
-//    query keeps its position forever), and removed cells stay reachable
-//    through *frozen* next chains: a marked cell's next word is never
-//    rewritten, and traversals resuming from a stale position walk those
-//    chains. A grace period alone is not enough.
+// Position words outlive any guard (a stalled query keeps its position
+// forever), and removed cells stay reachable through *frozen* next
+// chains: a marked cell's next word is never rewritten, and traversals
+// resuming from a stale position walk those chains. One EBR grace period
+// after the retract is therefore not enough.
 //
 // The quarantine closes the gap with a three-stage protocol:
-//   stage 1  retract: tombstone-claim ann_cell[slot], mark, best-effort
+//   stage 1  retract: tombstone-claim ann_cell[side], mark, best-effort
 //            unlink, then ebr::retire. The grace period guarantees that
 //            afterwards no thread still holds the cell from a list
 //            traversal, and — because position words are only ever
@@ -26,7 +22,7 @@
 //   stage 2  the retire deleter admits the cell to the owning trie's
 //            quarantine. When enough accumulate, a scavenge pass computes
 //            the PINNED set: every cell reachable by following stripped
-//            `next` pointers from (a) the RU-ALL and SU-ALL head
+//            `next` pointers from (a) the U-ALL and RU-ALL head
 //            sentinels — covering cells whose best-effort unlink failed
 //            and every frozen branch hanging off the live chains — and
 //            (b) the two position words of every announcement on the
@@ -66,7 +62,7 @@
 
 namespace lfbt {
 
-/// Process-wide recycling pool for announcement cells (all three lists).
+/// Process-wide recycling pool for announcement cells (both lists).
 /// `retire_next` is the free-list link; `next` keeps its last frozen list
 /// value while the cell rests here, so stale closure walks stay benign.
 class AnnCellPool {
@@ -85,8 +81,8 @@ class AnnCellPool {
   static AnnCell* acquire(Key key, UpdateNode* node) {
     auto [c, recycled] = Pool::acquire();
     // The no-reader window the reset needs is exactly the pool's
-    // contract: release required the quarantine's pinned-set proof (or
-    // U-ALL's no-escape property) plus a grace period.
+    // contract: release required the quarantine's pinned-set proof plus
+    // a grace period.
     c->key = key;
     c->node = node;
     c->next.store(0);
@@ -98,7 +94,7 @@ class AnnCellPool {
   static std::size_t allocated_count() { return Pool::allocated_count(); }
 };
 
-/// Per-trie quarantine for retired RU-ALL / SU-ALL cells (stage 2 above).
+/// Per-trie quarantine for retired announcement cells (stage 2 above).
 /// Heap-allocated and reference-counted: stage-1 retirements may still be
 /// sitting in other threads' EBR limbo when the owning trie is destroyed,
 /// and their deleters must find the quarantine alive — the last reference
@@ -110,12 +106,12 @@ class CellQuarantine {
   CellQuarantine& operator=(const CellQuarantine&) = delete;
 
   /// Wire the scan roots — the P-ALL and the per-side position lists'
-  /// head sentinels (RU-ALL, SU-ALL); call once before any retire (trie
+  /// head sentinels (RU-ALL, U-ALL); call once before any retire (trie
   /// constructor).
-  void set_roots(PAll* pall, AnnCell* ruall_head, AnnCell* suall_head) {
+  void set_roots(PAll* pall, AnnCell* ruall_head, AnnCell* uall_head) {
     pall_ = pall;
     heads_[kPredSide] = ruall_head;
-    heads_[kSuccSide] = suall_head;
+    heads_[kSuccSide] = uall_head;
   }
 
   /// Stage 1: hand a tombstone-claimed, marked, (best-effort) unlinked
@@ -144,10 +140,6 @@ class CellQuarantine {
     while (scavenging_.load(std::memory_order_acquire)) {
     }
     release_ref();
-  }
-
-  std::size_t quarantined_count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
   }
 
  private:

@@ -5,7 +5,7 @@
 //
 // Why batch a lock-free structure at all? PR 4's fused-query work showed
 // the update path is dominated by shared announcement-list traffic (one
-// U-ALL/RU-ALL/SU-ALL splice-and-retract per update, plus each erase's
+// U-ALL/RU-ALL splice-and-retract per update, plus each erase's
 // embedded fused query on the P-ALL). A buffered front door amortises
 // that traffic two ways:
 //   * one ebr::Guard brackets the whole drain, so the per-op guard

@@ -1,8 +1,8 @@
 // ShardedTrie: horizontal partitioning of the paper's lock-free binary
 // trie, with ONLINE RESHARDING. The universe U = {0..u-1} is split into
 // contiguous ranges, each backed by a fully independent
-// LockFreeBinaryTrie — its own NodeArena, its own U-ALL/RU-ALL/SU-ALL/
-// P-ALL announcement lists — so shards share no contended cache lines
+// LockFreeBinaryTrie — its own NodeArena, its own U-ALL/RU-ALL/P-ALL
+// announcement lists — so shards share no contended cache lines
 // and each shard's O(log u) update paths shrink to O(log width).
 //
 // Construction partitions U into S fixed-width ranges. A hot range can

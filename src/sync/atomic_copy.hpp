@@ -1,7 +1,7 @@
 // Single-writer atomic copy (paper reference [7], used for
 // pNode.RuallPosition in Section 5 — here PredecessorNode::position,
 // whose kPredSide word is the RU-ALL position and whose kSuccSide word
-// is its SU-ALL mirror).
+// is its mirror, the U-ALL position).
 //
 // Semantics required by the paper (Figure 8 discussion): the predecessor
 // operation pOp must advance its announced RU-ALL position by *atomically*

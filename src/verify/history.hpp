@@ -6,9 +6,12 @@
 // before B.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/types.hpp"
@@ -31,6 +34,30 @@ struct RecordedOp {
   uint32_t limit = 0;
   uint64_t mask = 0;
 };
+
+/// The evidence a failed check prints: one line per op in invocation
+/// order, "inv-res kind(key) -> answer". Scans also show their window,
+/// limit and reported key set.
+inline std::string describe(const std::vector<RecordedOp>& history) {
+  static constexpr const char* kNames[] = {"insert", "erase", "contains",
+                                           "predecessor", "successor",
+                                           "scan"};
+  std::vector<RecordedOp> ops = history;
+  std::sort(ops.begin(), ops.end(),
+            [](const RecordedOp& a, const RecordedOp& b) { return a.inv < b.inv; });
+  std::ostringstream out;
+  for (const RecordedOp& op : ops) {
+    out << op.inv << '-' << op.res << ' '
+        << kNames[static_cast<int>(op.kind)] << '(' << op.key;
+    if (op.kind == OpKind::kRangeScan) {
+      out << ".." << op.hi << ", limit " << op.limit << ") -> " << op.ret
+          << " keys, mask 0x" << std::hex << op.mask << std::dec << '\n';
+    } else {
+      out << ") -> " << op.ret << '\n';
+    }
+  }
+  return out.str();
+}
 
 class HistoryClock {
  public:

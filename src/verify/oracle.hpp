@@ -18,6 +18,8 @@
 #pragma once
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "verify/history.hpp"
@@ -163,11 +165,7 @@ class SingleWriterOracle {
 
   bool query_ok(const Query& q) const {
     for (std::size_t j = 0; j < versions_.size(); ++j) {
-      // Version j possibly live in (live_from, live_until).
-      const uint64_t live_from = versions_[j].inv;
-      const uint64_t live_until =
-          j + 1 < versions_.size() ? versions_[j + 1].res : ~uint64_t{0};
-      if (live_from >= q.t2 || q.t1 >= live_until) continue;
+      if (!overlaps(j, q)) continue;
       if (q.kind == OpKind::kRangeScan) {
         if (q.mask == bitmask_scan(versions_[j].state, q.y, q.hi, q.limit)) {
           return true;
@@ -187,7 +185,32 @@ class SingleWriterOracle {
 
   const std::vector<Version>& versions() const { return versions_; }
 
+  /// The evidence for a failed query: the query, then one line per
+  /// version whose possible lifetime overlaps its interval, with that
+  /// version's state bitmask.
+  std::string describe(const Query& q) const {
+    std::ostringstream out;
+    out << "query (" << q.t1 << ", " << q.t2 << ") y=" << q.y << " answered "
+        << q.answer << "; overlapping versions:\n";
+    for (std::size_t j = 0; j < versions_.size(); ++j) {
+      if (!overlaps(j, q)) continue;
+      out << "  v" << j << " inv " << versions_[j].inv << " res "
+          << versions_[j].res << " state 0x" << std::hex << versions_[j].state
+          << std::dec << '\n';
+    }
+    return out.str();
+  }
+
  private:
+  /// Version j is possibly live from its op's invocation until the next
+  /// op's response; does that window meet the query's (t1, t2)?
+  bool overlaps(std::size_t j, const Query& q) const {
+    const uint64_t live_from = versions_[j].inv;
+    const uint64_t live_until =
+        j + 1 < versions_.size() ? versions_[j + 1].res : ~uint64_t{0};
+    return live_from < q.t2 && q.t1 < live_until;
+  }
+
   std::vector<Version> versions_;
 };
 

@@ -32,8 +32,8 @@ struct StressSpec {
   int contains_weight = 20;
   // Percent of ops that are successor queries. Every shipped structure's
   // successor reads the same abstract state as contains/updates — the
-  // core trie's successor is native and symmetric since the SU-ALL
-  // machinery landed (core/lockfree_trie.hpp) — so mixed pred+succ
+  // core trie's successor is native and symmetric since the successor
+  // position machinery landed (core/lockfree_trie.hpp) — so mixed pred+succ
   // histories are sound to check everywhere, including the same-key
   // update races the retired two-view composites could not linearize.
   int succ_weight = 0;
@@ -145,7 +145,9 @@ void linearizability_stress(
       if (history.back().ret) observed |= uint64_t{1} << k;
     }
     ASSERT_TRUE(LinearizabilityChecker::check(history, state))
-        << "round " << round << " not linearizable (seed " << spec.seed << ")";
+        << "round " << round << " not linearizable (seed " << spec.seed
+        << "); history:\n"
+        << describe(history);
     state = observed;
   }
 }

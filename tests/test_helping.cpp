@@ -146,7 +146,7 @@ TEST(Helping, ChainedStalledDeletesFollowDelPred2Edges) {
 TEST(Helping, StalledPostActivationInsertCoveredInSuccessorDirection) {
   // Mirror of StalledPostActivationInsertIsCoveredByAnnouncement: the
   // trie bits never rise, so successor queries from below can only see
-  // the key through the permanent U-ALL/SU-ALL announcement.
+  // the key through the permanent U-ALL announcement.
   LockFreeBinaryTrie t(64);
   ASSERT_TRUE(t.stall_insert_for_test(9));
   EXPECT_TRUE(t.contains(9));  // linearized
@@ -164,7 +164,7 @@ TEST(Helping, BottomFallbackRecoversInSuccessorDirection) {
   // order: a delete of 5 linearizes and crashes before DeleteBinaryTrie,
   // poisoning 5's subtree with a stale 1 whose children are both 0 —
   // every relaxed *successor* descent through it returns ⊥ forever, and
-  // the crashed DEL node sits in the SU-ALL (-> the successor Dpos).
+  // the crashed DEL node sits in the U-ALL (-> the successor Dpos).
   // Queries must recover through the crashed delete's embedded
   // *successor* announcement (delSucc/delSucc2 and its notify list).
   LockFreeBinaryTrie t(64);

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/lockfree_trie.hpp"
 #include "set_test_util.hpp"
+#include "shard/sharded_trie.hpp"
 #include "verify/oracle.hpp"
 
 namespace lfbt {
@@ -113,14 +117,108 @@ TEST_P(SingleWriterOracleTest, PredecessorAnswersAlwaysJustifiable) {
   for (auto& th : readers) th.join();
   for (int r = 0; r < kReaders; ++r) {
     auto idx = oracle.validate(logs[r]);
-    ASSERT_EQ(idx, -1) << "reader " << r << " query " << idx << " y="
-                       << logs[r][static_cast<std::size_t>(idx)].y << " answered "
-                       << logs[r][static_cast<std::size_t>(idx)].answer;
+    ASSERT_EQ(idx, -1) << "reader " << r << " query " << idx << ": "
+                       << oracle.describe(
+                              logs[r][static_cast<std::size_t>(idx)]);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Readers, SingleWriterOracleTest,
                          ::testing::Values(1, 2, 4));
+
+// Striped multi-writer oracle over one hot window, the shape of
+// stackbench's ingest-hot workload. W threads share the window [0, 256);
+// thread t owns the keys = t (mod W) and runs i50/d50 on them, so it
+// knows its own stripe's membership exactly at every instant. Its
+// predecessor and successor probes over the window must never return an
+// own key it erased, never skip an own key it holds, and never leave the
+// window (no thread writes outside it). W is twice the hardware threads,
+// capped at 16, so workers get preempted mid-operation.
+template <class Set>
+void striped_hot_window_oracle(Set& set) {
+  constexpr Key kWindow = 256;
+  constexpr int kOps = 100000;
+  const int w = static_cast<int>(
+      std::min(16u, 2 * std::max(1u, std::thread::hardware_concurrency())));
+  // Per thread: the number of failed checks and the first few of them.
+  std::vector<int> failed(w, 0);
+  std::vector<std::string> evidence(w);
+  std::vector<std::thread> ths;
+  for (int t = 0; t < w; ++t) {
+    ths.emplace_back([&, t] {
+      Xoshiro256 rng(7000 + t);
+      std::vector<bool> mine(kWindow, false);
+      const uint64_t own_keys = static_cast<uint64_t>((kWindow - t + w - 1) / w);
+      auto own = [&](Key k) { return k % w == t; };
+      auto any_own_in = [&](Key lo, Key hi) {
+        for (Key k = std::max<Key>(lo, 0); k <= hi && k < kWindow; ++k) {
+          if (own(k) && mine[k]) return true;
+        }
+        return false;
+      };
+      auto fail = [&](const char* op, Key y, Key got) {
+        if (++failed[t] <= 4) {
+          std::ostringstream m;
+          m << "thread " << t << ": " << op << '(' << y << ") = " << got
+            << '\n';
+          evidence[t] += m.str();
+        }
+      };
+      for (int i = 0; i < kOps; ++i) {
+        const Key k = t + w * static_cast<Key>(rng.bounded(own_keys));
+        switch (rng.bounded(4)) {
+          case 0:
+            set.insert(k);
+            mine[k] = true;
+            break;
+          case 1:
+            set.erase(k);
+            mine[k] = false;
+            break;
+          case 2: {
+            const Key y = static_cast<Key>(rng.bounded(kWindow)) + 1;
+            const Key p = set.predecessor(y);
+            const bool ok =
+                p == kNoKey ? !any_own_in(0, y - 1)
+                            : p >= 0 && p < y && !(own(p) && !mine[p]) &&
+                                  !any_own_in(p + 1, y - 1);
+            if (!ok) fail("predecessor", y, p);
+            break;
+          }
+          default: {
+            const Key y = static_cast<Key>(rng.bounded(kWindow)) - 1;
+            const Key s = set.successor(y);
+            const bool ok =
+                s == kNoKey ? !any_own_in(y + 1, kWindow - 1)
+                            : s > y && s < kWindow && !(own(s) && !mine[s]) &&
+                                  !any_own_in(y + 1, s - 1);
+            if (!ok) fail("successor", y, s);
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : ths) th.join();
+  int total = 0;
+  std::string report;
+  for (int t = 0; t < w; ++t) {
+    total += failed[t];
+    report += evidence[t];
+  }
+  EXPECT_EQ(total, 0) << "failed stripe checks with " << w << " threads, "
+                      << "first ones per thread:\n"
+                      << report;
+}
+
+// Open defect: the ordered queries fail these checks once workers are
+// preempted, so the test stays disabled in tier-1 and runs only from
+// scripts/stress_repeat.sh, which records its failure rate.
+TEST(LockFreeTrieConc, DISABLED_StripedHotWindowOracle) {
+  LockFreeBinaryTrie flat(4096);
+  striped_hot_window_oracle(flat);
+  ShardedTrie sharded(4096, 8);
+  striped_hot_window_oracle(sharded);
+}
 
 TEST(LockFreeTrieConc, ProgressUnderHeavyOversubscription) {
   // 24 threads on whatever cores exist: all fixed op counts must finish

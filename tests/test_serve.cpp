@@ -123,7 +123,9 @@ void batched_wing_gong(Set& set, uint64_t seed) {
       if (history.back().ret) observed |= uint64_t{1} << k;
     }
     ASSERT_TRUE(LinearizabilityChecker::check(history, state))
-        << "round " << round << " not linearizable (seed " << seed << ")";
+        << "round " << round << " not linearizable (seed " << seed
+        << "); history:\n"
+        << describe(history);
     state = observed;
   }
 }

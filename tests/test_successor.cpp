@@ -1,10 +1,10 @@
 // Successor queries on the sequential reference, the relaxed, versioned,
 // core and sharded tries, checked against std::set. The core trie's
-// successor is native and symmetric (core/lockfree_trie.hpp): the SU-ALL
-// / directional-notification machinery mirrors the paper's predecessor
-// proof inside one structure, so mixed pred+succ histories — including
-// the same-key update races the retired two-view composite could not
-// linearize — are checked here with full Wing–Gong. The key-mirrored
+// successor is native and symmetric (core/lockfree_trie.hpp): the U-ALL
+// position / directional-notification machinery mirrors the paper's
+// predecessor proof inside one structure, so mixed pred+succ histories —
+// including the same-key update races the retired two-view composite
+// could not linearize — are checked here with full Wing–Gong. The key-mirrored
 // MirroredTrie survives as an independent oracle (its successor runs the
 // *predecessor* helper on reflected keys) and is cross-checked against
 // the native path.
@@ -279,7 +279,7 @@ TEST(SuccessorLinearizability, ShardedMixedDirectionWingGong) {
 // MirroredTrie's updates and successor all read/write ONE inner trie, so
 // full Wing–Gong checking applies — this keeps the oracle honest: its
 // successor exercises the *predecessor* helper on reflected keys, a code
-// path disjoint from the native successor's SU-ALL machinery.
+// path disjoint from the native successor's U-ALL position machinery.
 TEST(SuccessorLinearizability, MirroredTrieWingGong) {
   MirroredTrie trie(16);
   testutil::StressSpec spec;
