@@ -25,14 +25,12 @@ if ! [[ "$N" =~ ^[1-9][0-9]*$ ]]; then
 fi
 mkdir -p "$LOG_DIR"
 
-# binary  gtest filter (Wing–Gong + oracle tests of that binary)  [extra
-# gtest flags]. The striped hot-window oracle documents an open defect
-# (ROADMAP item 1(b)), so it is disabled in tier-1 and only runs here.
+# binary  gtest filter (Wing–Gong + oracle tests of that binary)
 SUITES=(
   "test_resharding Resharding.Linearizable*:Resharding.SingleWriter*:Resharding.Frozen*:Resharding.ConcurrentSplits*"
   "test_atomic_scan *WingGong*:*Oracle*"
   "test_lockfree_trie_concurrent *SingleWriterOracle*"
-  "test_lockfree_trie_concurrent *StripedHotWindowOracle* --gtest_also_run_disabled_tests"
+  "test_lockfree_trie_concurrent *StripedHotWindowOracle*"
   "test_successor SuccessorLinearizability.*"
   "test_serve *WingGong*"
   "test_fused_query FusedQueryLinearizability.*:*StalledFusedDeleteUnderConcurrentQueries"
@@ -41,7 +39,7 @@ SUITES=(
 
 fail=0
 for s in "${!SUITES[@]}"; do
-  read -r bin filter flags <<<"${SUITES[$s]}"
+  read -r bin filter <<<"${SUITES[$s]}"
   if [ ! -x "$BUILD_DIR/$bin" ]; then
     echo "$bin: missing from $BUILD_DIR" >&2
     fail=1
@@ -52,7 +50,7 @@ for s in "${!SUITES[@]}"; do
     log="$LOG_DIR/$bin.$s.$i.log"
     # A run that outlives the timeout counts as a failure: a
     # non-linearizable history can send the Wing–Gong search exponential.
-    if timeout 300 "$BUILD_DIR/$bin" --gtest_filter="$filter" $flags >"$log" 2>&1; then
+    if timeout 300 "$BUILD_DIR/$bin" --gtest_filter="$filter" >"$log" 2>&1; then
       rm -f "$log"
     else
       failures=$((failures + 1))

@@ -28,39 +28,6 @@ void consider_all(Key& best, const Vec& v, int side) {
   for (const UpdateNode* n : v) consider(best, n->key, side);
 }
 
-/// CAS-fold `k` into a directional aggregate word: keep the largest key
-/// for the predecessor-side aggregate, the smallest for the
-/// successor-side one (kNoKey = empty).
-void fold_extremum(std::atomic<Key>& agg, Key k, int side) {
-  Key w = agg.load();
-  while (w == kNoKey || on_side(w, k, side)) {
-    if (agg.compare_exchange_weak(w, k)) return;
-  }
-}
-
-/// One step of the online TL walk over a capped announcement's
-/// suppressed notifications (PredecessorNode::agg_tl): an INS folds its
-/// key as the directional extremum; a DEL whose key equals the current
-/// aggregate applies its TL edge, stepping the aggregate to its second
-/// embedded query's answer on this side — the same move the uncapped
-/// fallback's walk would make. A DEL of any other key is a no-op: it
-/// deletes a key the aggregate is not standing on.
-void fold_tl(std::atomic<Key>& agg, UpdateNode* u, int side) {
-  if (u->type == NodeType::kIns) {
-    fold_extremum(agg, u->key, side);
-    return;
-  }
-  auto* dn = static_cast<DelNode*>(u);
-  Key w = agg.load();
-  while (w == u->key) {
-    // DEL nodes reach the notify stage only after del_ans2 is written
-    // (l.201 + mirror precede l.203); guard anyway.
-    const Key d2 = dn->del_ans2[side].load();
-    if (d2 == kUnsetPred) return;
-    if (agg.compare_exchange_weak(w, d2)) return;
-  }
-}
-
 /// Paper l.153 and its mirror: pin and return the INS node of the
 /// ascending U-ALL snapshot `ins` nearest `y` on `side` (largest key < y
 /// / smallest key > y); null if there is none or its pin fails.
@@ -310,23 +277,6 @@ void LockFreeBinaryTrie::notify_query_ops(UpdateNode* u) {
   for (PredecessorNode* p = pall_.first_live(); p != nullptr;
        p = PAll::next_live(p)) {
     if (!core_.first_activated(u)) return;  // l.149
-    if (p->notify_len.load(std::memory_order_acquire) >=
-        PredecessorNode::kNotifyCap) {
-      // Cap reached — this announcement belongs to a stalled (or
-      // extraordinarily slow) operation. Fold the notification into the
-      // per-side aggregates instead of growing the list: no notify
-      // node, no pins, bounded footprint. The first_activated check
-      // above plays the role of the push path's l.160 revalidation
-      // (same race window: a supersession between check and CAS).
-      for (int side = 0; side < kNumSides; ++side) {
-        if (!has_side(p->dir, side)) continue;
-        if (u->type == NodeType::kIns) {
-          fold_extremum(p->agg_present[side], u->key, side);
-        }
-        fold_tl(p->agg_tl[side], u, side);
-      }
-      continue;
-    }
     NotifyNode* n = NotifyNodePool::acquire();
     // Pin discipline: each non-null update-node reference of a published
     // notify node holds one pin, dropped when the target announcement is
@@ -360,7 +310,6 @@ void LockFreeBinaryTrie::notify_query_ops(UpdateNode* u) {
       NotifyNodePool::release(n);
       return;
     }
-    p->notify_len.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -412,86 +361,58 @@ LockFreeBinaryTrie::QueryAnswer LockFreeBinaryTrie::query_helper_fused(
   Stats::count_query_helper(dir == QueryDir::kBoth);
 
   QueryScratch& sc = QueryScratch::get();
-  PredecessorNode* p_node = nullptr;
+  sc.reset_query();
+
+  PredecessorNode* p_node = QueryNodePool::acquire(y, dir);
+  for (int side = 0; side < kNumSides; ++side) {
+    if (has_side(dir, side)) {
+      p_node->position[side].store(AnnounceList::pack(lists_[side].head()));
+    }
+  }
+  pall_.push(p_node);  // l.209 — the ONE announce point for all sides
+
+  // l.210–214: snapshot the P-ALL suffix. Kept newest-first (raw chain
+  // order); the fallback's oldest-first scans iterate it backwards, so
+  // no query pays a reverse. Q deliberately contains every announcement
+  // kind; the fallback matches only the node a Delete embedded (plus
+  // its generation).
+  for (PredecessorNode* it = PAll::next_raw(p_node); it != nullptr;
+       it = PAll::next_raw(it)) {
+    sc.q.push_back(it);
+  }
+
+  // Each side keeps the paper's order: position list, then relaxed
+  // traversal, then (below, shared) the U-ALL and the notify list.
   Key r0[kNumSides] = {kNoKey, kNoKey};
+  for (int side = 0; side < kNumSides; ++side) {
+    if (!has_side(dir, side)) continue;
+    traverse_position_list(p_node, side, sc.side[side]);  // l.215
+    r0[side] = side == kPredSide ? core_.relaxed_predecessor(y)  // l.216
+                                 : core_.relaxed_successor(y);
+  }
+  traverse_uall_fused(  // l.217
+      y, has_side(dir, kPredSide) ? &sc.side[kPredSide].uall : nullptr,
+      has_side(dir, kSuccSide) ? &sc.side[kSuccSide].uall : nullptr);
 
-  // The helper body runs in a valve loop: if our OWN announcement's
-  // notify list hit the cap (kNotifyCap completed updates landed inside
-  // this one helper's window — pathological contention or preemption),
-  // notifications were folded into lossy aggregates, so retire the
-  // announcement and run the helper again rather than answer from them.
-  // A bounded number of retries keeps the common case exact; the final
-  // attempt, if still capped, answers from the aggregates (sound — see
-  // direction_answer / bottom_fallback — at the cost of the residual
-  // precision loss documented in docs/DESIGN.md, "Reclamation").
-  constexpr int kMaxCapRetries = 3;
-  for (int attempt = 0;; ++attempt) {
-    sc.reset_query();
-
-    p_node = QueryNodePool::acquire(y, dir);
+  // l.218–227 and its mirror in ONE pass: each notification is offered
+  // to every side whose window contains its key, under that side's
+  // threshold/extremum. The head snapshot (Cnotify) is shared — both
+  // sides see the same prefix.
+  for (NotifyNode* nn = NotifyList::head(p_node); nn != nullptr;
+       nn = nn->next.load()) {
     for (int side = 0; side < kNumSides; ++side) {
-      if (has_side(dir, side)) {
-        p_node->position[side].store(
-            AnnounceList::pack(lists_[side].head()));
+      if (has_side(dir, side) && on_side(nn->key, y, side)) {
+        accept_notification(nn, side, sc.side[side]);
       }
     }
-    pall_.push(p_node);  // l.209 — the ONE announce point for all sides
-
-    // l.210–214: snapshot the P-ALL suffix. Kept newest-first (raw chain
-    // order); the fallback's oldest-first scans iterate it backwards, which
-    // drops the per-query reverse the old path paid. Q deliberately
-    // contains every announcement kind; the fallback matches only the
-    // node a Delete embedded (plus its generation).
-    for (PredecessorNode* it = PAll::next_raw(p_node); it != nullptr;
-         it = PAll::next_raw(it)) {
-      sc.q.push_back(it);
-    }
-
-    // Each side keeps the paper's order: position list, then relaxed
-    // traversal, then (below, shared) the U-ALL and the notify list.
-    for (int side = 0; side < kNumSides; ++side) {
-      if (!has_side(dir, side)) continue;
-      traverse_position_list(p_node, side, sc.side[side]);  // l.215
-      r0[side] = side == kPredSide ? core_.relaxed_predecessor(y)  // l.216
-                                   : core_.relaxed_successor(y);
-    }
-    traverse_uall_fused(  // l.217
-        y, has_side(dir, kPredSide) ? &sc.side[kPredSide].uall : nullptr,
-        has_side(dir, kSuccSide) ? &sc.side[kSuccSide].uall : nullptr);
-
-    // l.218–227 and its mirror in ONE pass: each notification is offered
-    // to every side whose window contains its key, under that side's
-    // threshold/extremum. The head snapshot (Cnotify) is shared — both
-    // sides see the same prefix.
-    for (NotifyNode* nn = NotifyList::head(p_node); nn != nullptr;
-         nn = nn->next.load()) {
-      for (int side = 0; side < kNumSides; ++side) {
-        if (has_side(dir, side) && on_side(nn->key, y, side)) {
-          accept_notification(nn, side, sc.side[side]);
-        }
-      }
-    }
-
-    if (!p_node->notify_capped() || attempt >= kMaxCapRetries) break;
-    retire_query_node(p_node);
   }
 
   QueryAnswer out;
   out.node = p_node;
-  const bool capped = p_node->notify_capped();
   for (int side = 0; side < kNumSides; ++side) {
     if (!has_side(dir, side)) continue;
-    DirScratch& ds = sc.side[side];
-    if (capped) {
-      // Retries exhausted: recover the suppressed in-window extremum as
-      // an extra r1 candidate. agg_present keys were folded by
-      // first-activated (hence then-present) INS updates inside this
-      // announcement's window, which is exactly this helper's window — a
-      // valid linearizable candidate once clamped to the window.
-      const Key a = p_node->agg_present[side].load();
-      if (a != kNoKey && on_side(a, y, side)) ds.notify_agg = a;
-    }
-    out.ans[side] = direction_answer(y, side, p_node, r0[side], sc, ds);
+    out.ans[side] =
+        direction_answer(y, side, p_node, r0[side], sc, sc.side[side]);
   }
   return out;  // l.252
 }
@@ -513,10 +434,6 @@ Key LockFreeBinaryTrie::direction_answer(Key y, int side,
   for (UpdateNode* n : ds.d_notify) {
     if (!ds.d_pos_set.contains(n)) consider(r1, n->key, side);
   }
-  // Capped own announcement (valve retries exhausted): the suppressed
-  // in-window INS extremum joins the candidate set.
-  consider(r1, ds.notify_agg, side);
-
   // l.230–251: the trie traversal was blocked by concurrent updates.
   if (r0 == kBottom) {
     r0 = ds.d_pos.empty() ? kNoKey : bottom_fallback(y, side, p_node, sc, ds);
@@ -640,19 +557,6 @@ Key LockFreeBinaryTrie::bottom_fallback(Key y, int side,
   for (UpdateNode* n : sc.l_filtered) {
     if (n->type == NodeType::kIns) sc.x_set.push_back(n->key);
   }
-  // Capped announcements contribute their online-TL aggregate as an
-  // extra seed: for a capped p' (typically a crashed delete's embedded
-  // announcement, whose list every later update folds into) the
-  // aggregate replays exactly the INS-extremum + DEL-edge walk the
-  // suppressed suffix of L1 would have produced; for our own capped
-  // announcement it covers the suppressed part of L2. The walk below
-  // still applies the known edges to the seed.
-  for (PredecessorNode* p : {p_prime, p_node}) {
-    if (p == nullptr || !p->notify_capped()) continue;
-    const Key a = p->agg_tl[side].load();
-    if (a != kNoKey && in_window(a)) sc.x_set.push_back(a);
-  }
-
   // l.249–251: R = sinks reachable from X (chain walks; edges are
   // monotone, so a walk takes at most one step per edge), minus the keys
   // of Dpos deletes; answer with the directional extremum of R (the

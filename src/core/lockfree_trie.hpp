@@ -80,7 +80,8 @@ class LockFreeBinaryTrie {
   /// destructor. Hands every pooled update node still resident in the
   /// trie back to the process-wide pools, so create/destroy churn
   /// reaches a steady-state footprint; only nodes kept alive by stalled
-  /// test announcements stay out (bounded by the injected crash count).
+  /// test announcements stay out (a stalled delete's notify lists pin
+  /// one notifier per later update).
   ~LockFreeBinaryTrie();
 
   Key universe() const noexcept { return core_.universe(); }
@@ -169,7 +170,8 @@ class LockFreeBinaryTrie {
   /// Test-only fault injection: runs erase(x) through activation and the
   /// second embedded fused query (l.201 + mirror), then "crashes" —
   /// leaving its interpreted bits stale and its two fused announcements
-  /// in the P-ALL forever. Models the adversary Section 5's ⊥-fallback
+  /// in the P-ALL forever, their notify lists growing by one node per
+  /// later update. Models the adversary Section 5's ⊥-fallback
   /// (Definition 5.1) exists for: both directions' fallbacks must
   /// recover through the SAME fused announcement. Returns false if x
   /// was absent.

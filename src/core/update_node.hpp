@@ -269,36 +269,6 @@ struct PredecessorNode {
   /// does not announce stay 0.
   AtomicCopyWord position[kNumSides];
 
-  // --- Stalled-announcement notify cap (core/lockfree_trie.cpp,
-  // notify_query_ops). Once `notify_len` reaches kNotifyCap, notifiers
-  // stop allocating notify nodes for this announcement and instead fold
-  // their notification into two per-side aggregate words, bounding the
-  // footprint an announcement that is never retired (a crashed
-  // operation) can pin. Both arrays are indexed by side.
-  //
-  //  * agg_present[s]: directional extremum (max below / min above) of
-  //    the keys of suppressed INS notifications. A first-activated INS
-  //    folded here was present at fold time, so for the announcement's
-  //    own live window it is a valid r1 candidate (the consumer clamps
-  //    it to its window).
-  //  * agg_tl[s]: an online run of the ⊥-fallback's TL walk over the
-  //    suppressed suffix — INS keys fold as the directional extremum,
-  //    and a DEL whose key equals the current aggregate steps it to the
-  //    delete's del_ans2 on that side, exactly the edge the uncapped list
-  //    would have contributed. Consumed as an extra X seed by
-  //    bottom_fallback when this (or the matched embedded) announcement
-  //    is capped.
-  //
-  // See docs/DESIGN.md, "Reclamation" for the validity argument and the
-  // residual information-loss adversary this trades for boundedness.
-  static constexpr uint32_t kNotifyCap = 512;
-  std::atomic<uint32_t> notify_len{0};
-  std::atomic<Key> agg_present[kNumSides] = {kNoKey, kNoKey};
-  std::atomic<Key> agg_tl[kNumSides] = {kNoKey, kNoKey};
-  bool notify_capped() const noexcept {
-    return notify_len.load(std::memory_order_acquire) >= kNotifyCap;
-  }
-
   /// Intrusive hook for the P-ALL (mark in bit 0: removed). Doubles as
   /// the free-list link while the node rests in QueryNodePool.
   std::atomic<uintptr_t> pall_next{0};

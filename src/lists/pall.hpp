@@ -190,23 +190,19 @@ class NotifyList {
   }
 };
 
-/// Process-wide recycling pool for PredecessorNodes — the first bite at
-/// the ROADMAP's "arena reclamation" item: query announcement nodes are
-/// the highest-churn allocation of the query hot path (one per
+/// Process-wide recycling pool for PredecessorNodes. Query announcement
+/// nodes are the highest-churn allocation of the query hot path (one per
 /// predecessor/successor, one per embedded fused query of every Delete),
-/// and unlike update nodes nothing references them once they leave the
-/// P-ALL, so they can be recycled without touching the paper's ABA-free
-/// arena discipline for update nodes and cells.
+/// and nothing references them once they leave the P-ALL, so they are
+/// recycled without touching the arena discipline for update nodes and
+/// cells.
 ///
 /// Lifecycle: acquire() (pop or heap-allocate) → announce/use →
 /// PAll::remove_for_reuse (mark + guaranteed physical detach) →
 /// release() (ebr::retire) → grace period → back on the free list.
 ///
 /// Soundness (the full argument lives on RecyclePool,
-/// reclaim/node_pool.hpp — this pool is its first instantiation, and the
-/// free-list head it brings is cache-line padded, closing the false-
-/// sharing hazard the open-coded PR 4 head had next to the registry
-/// head):
+/// reclaim/node_pool.hpp):
 ///  * release() requires the node to be detached from the P-ALL
 ///    (remove_for_reuse). Stale *references* from concurrent traversals
 ///    are exactly what the grace period waits out; stale *pointer
@@ -217,8 +213,7 @@ class NotifyList {
 ///    destruction needs no coordination with in-flight retirements, and
 ///    leak checkers see every node as reachable. Peak memory is bounded
 ///    by the process's high-water mark of concurrent + limbo query
-///    nodes, which recycling keeps at O(threads): the unbounded
-///    per-query arena growth this replaces is gone.
+///    nodes, which recycling keeps at O(threads).
 class QueryNodePool {
   struct Traits {
     using Node = PredecessorNode;
@@ -245,12 +240,7 @@ class QueryNodePool {
     n->key = key;
     n->dir = dir;
     n->notify_head.store(nullptr);
-    n->notify_len.store(0);
-    for (int side = 0; side < kNumSides; ++side) {
-      n->position[side].store(0);
-      n->agg_present[side].store(kNoKey);
-      n->agg_tl[side].store(kNoKey);
-    }
+    for (int side = 0; side < kNumSides; ++side) n->position[side].store(0);
     ++n->gen;
     return n;
   }

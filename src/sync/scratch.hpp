@@ -167,13 +167,7 @@ struct DirScratch {
   // above it for successor).
   UallBufs uall;
 
-  // In-window aggregate candidate recovered from a capped own
-  // announcement (PredecessorNode::agg_present); kNoKey when the
-  // announcement never hit the notify cap. Fed to direction_answer's r1.
-  Key notify_agg = kNoKey;
-
   void clear() noexcept {
-    notify_agg = kNoKey;
     d_pos.clear();
     d_pos_set.clear();
     i_pos_set.clear();
