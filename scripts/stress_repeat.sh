@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repeat-runs the Wing–Gong linearizability and single-writer oracle
-# tests of each concurrency test binary, so a flake that one ctest pass
-# hides shows up as a failure rate. Meant for a host with >= 4 hardware
-# threads, where interleavings come from real parallelism rather than
-# preemption.
+# tests of each concurrency test binary, and the announcement-cell
+# reclamation tests, so a flake that one ctest pass hides shows up as a
+# failure rate. Meant for a host with >= 4 hardware threads, where
+# interleavings come from real parallelism rather than preemption.
 #
 #   usage: scripts/stress_repeat.sh N [build-dir]   (default build)
 #
@@ -35,6 +35,7 @@ SUITES=(
   "test_serve *WingGong*"
   "test_fused_query FusedQueryLinearizability.*:*StalledFusedDeleteUnderConcurrentQueries"
   "test_keys CompressedTrieConcurrent.*"
+  "test_announce_list AnnounceList.RemovedCellIsUnreachableFromEitherHead:AnnounceList.RetiredCellOutlivesNotifierThatReadItsPosition"
 )
 
 fail=0

@@ -73,21 +73,13 @@ void accept_notification(const NotifyNode* nn, int side, DirScratch& ds) {
 
 LockFreeBinaryTrie::LockFreeBinaryTrie(Key universe)
     : core_(universe, arena_),
-      quarantine_(new CellQuarantine),
-      lists_{AnnounceList(kPredSide, quarantine_),
-             AnnounceList(kSuccSide, quarantine_)} {
-  quarantine_->set_roots(&pall_, ruall().head(), uall().head());
-}
+      lists_{AnnounceList(kPredSide), AnnounceList(kSuccSide)} {}
 
 LockFreeBinaryTrie::~LockFreeBinaryTrie() {
   core_.drain_resident_for_destruction();
   // Cells still chained belong to resident nodes' canonical announcements;
   // quiescence makes the raw walks safe.
   for (AnnounceList& l : lists_) l.release_all_cells_for_destruction();
-  // Last: the quarantine flushes what it holds and severs the root
-  // pointers into this object; it deletes itself once the final in-flight
-  // stage-1 deleter (possibly on another thread's EBR limbo) lands.
-  quarantine_->detach_and_drain();
 }
 
 bool LockFreeBinaryTrie::contains(Key x) {

@@ -235,13 +235,6 @@ class LockFreeBinaryTrie {
 
   NodeArena arena_;
   TrieCore core_;
-  /// Reclamation staging for retired announcement cells (their pointers
-  /// escape into position words, so they need the pinned-set scavenge of
-  /// reclaim/cell_quarantine.hpp). Owned, but deliberately not a member:
-  /// stage-1 retirements may outlive the trie in other threads' EBR
-  /// limbo, so it is refcounted and self-deleting — the destructor only
-  /// detaches. Declared before the lists, which capture the pointer.
-  CellQuarantine* quarantine_;
   // Per-side position lists: the RU-ALL on kPredSide, the U-ALL on
   // kSuccSide (also the list every update and query helper snapshots).
   AnnounceList lists_[kNumSides];

@@ -1,10 +1,9 @@
 // Recycling pools for the full trie's churn-allocated nodes — notify
-// nodes, INS update nodes, DEL update nodes — plus the pin/retire helper
-// verbs the trie and the relaxed core share. Together with QueryNodePool
-// (lists/pall.hpp) these replace every per-operation arena allocation of
-// the lock-free trie (announcement cells have their own pool,
-// reclaim/cell_quarantine.hpp); the arena keeps only the bounded
-// populations (dummy nodes, relaxed-trie nodes).
+// nodes, announcement cells, INS update nodes, DEL update nodes — plus
+// the pin/retire helper verbs the trie and the relaxed core share.
+// Together with QueryNodePool (lists/pall.hpp) these replace every
+// per-operation arena allocation of the lock-free trie; the arena keeps
+// only the bounded populations (dummy nodes, relaxed-trie nodes).
 //
 // Lifecycle of a pooled update node:
 //   acquire (pop or carve, fields reset, pooled bit set)
@@ -61,6 +60,37 @@ class NotifyNodePool {
 
   static void release(NotifyNode* n) { Pool::release(n); }
   static std::size_t allocated_count() { return Pool::allocated_count(); }
+};
+
+/// Pool of announcement cells (both position lists). `next` doubles as
+/// the free-list link, as NotifyNode::next does: AnnounceList hands a
+/// cell here only one grace period after unlinking it, and release()
+/// adds the second (docs/DESIGN.md, "Announcement-cell reclamation"), so
+/// no walker or position word still reads its list value.
+class AnnCellPool {
+  struct Traits {
+    using Node = AnnCell;
+    static constexpr MemClass kClass = MemClass::kAnnCell;
+    static Node* free_link(Node* n) {
+      return reinterpret_cast<AnnCell*>(n->next.load());
+    }
+    static void set_free_link(Node* n, Node* next) {
+      n->next.store(reinterpret_cast<uintptr_t>(next));
+    }
+    static void construct(void* p) { ::new (p) AnnCell(); }
+  };
+  using Pool = reclaim::RecyclePool<Traits>;
+
+ public:
+  static AnnCell* acquire(Key key, UpdateNode* node) {
+    auto [c, recycled] = Pool::acquire();
+    c->key = key;
+    c->node = node;
+    c->next.store(0);
+    return c;
+  }
+
+  static void release(AnnCell* c) { Pool::release(c); }
 };
 
 /// Reset of the UpdateNode fields a recycled INS or DEL node carries

@@ -26,17 +26,12 @@ struct PredecessorNode;
 ///
 /// `next` packs a Cell* with a removal mark in bit 1. Bit 0 stays clear:
 /// it is the descriptor tag of AtomicCopyWord, which copies these words
-/// into PredecessorNode::position.
+/// into PredecessorNode::position. While the cell rests in AnnCellPool
+/// (core/trie_pools.hpp), `next` is its free-list link.
 struct AnnCell {
   Key key = 0;
   UpdateNode* node = nullptr;
   std::atomic<uintptr_t> next{0};
-  /// Reclamation link (reclaim/cell_quarantine.hpp): parks the owning
-  /// CellQuarantine* between retirement and admission, then serves as the
-  /// quarantine / free-list link. Deliberately separate from `next`, which
-  /// must stay frozen after removal so stale traversals and the
-  /// scavenger's pinned-set closure can keep walking retired chains.
-  std::atomic<AnnCell*> retire_next{nullptr};
 };
 
 /// Tombstone installed in UpdateNode::ann_cell[side] when the announcement

@@ -30,18 +30,17 @@
 // the cell exactly once by CASing ann_cell[side] to kCellRetracted (owner
 // and helper may both retract; only the claim winner marks, unlinks and
 // retires). Cell pointers of both lists escape into announcement position
-// words, so every retired cell routes through the owning trie's
-// CellQuarantine, which releases it only once it is unreachable from
-// every position word and list chain (the full argument lives in
-// reclaim/cell_quarantine.hpp). CAS expected-value comparisons stay
-// ABA-free because a cell re-enters circulation only after a grace
-// period no in-flight comparison's guard can span.
+// words, so a retired cell waits two chained grace periods before the
+// pool reissues it: the first for every walker and every query whose
+// position could name it, the second for every notifier that read such a
+// position (docs/DESIGN.md, "Announcement-cell reclamation"). CAS
+// expected-value comparisons stay ABA-free for the same reason.
 #pragma once
 
 #include <cassert>
 
+#include "core/trie_pools.hpp"
 #include "core/update_node.hpp"
-#include "reclaim/cell_quarantine.hpp"
 #include "sync/cacheline.hpp"
 #include "sync/ebr.hpp"
 #include "sync/stats.hpp"
@@ -59,10 +58,8 @@ class AnnounceList {
   static uintptr_t pack(AnnCell* c) noexcept { return reinterpret_cast<uintptr_t>(c); }
 
   /// The position list of query side `side`: the descending RU-ALL on
-  /// kPredSide, the ascending U-ALL on kSuccSide. Retired cells go to
-  /// `quarantine`, which must outlive every retirement.
-  AnnounceList(int side, CellQuarantine* quarantine)
-      : quarantine_(quarantine), side_(side) {
+  /// kPredSide, the ascending U-ALL on kSuccSide.
+  explicit AnnounceList(int side) : side_(side) {
     head_.key = descending() ? kPosInf : kNegInf;
     tail_.key = descending() ? kNegInf : kPosInf;
     head_.next.store(pack(&tail_));
@@ -89,7 +86,7 @@ class AnnounceList {
       // loser is this cell's sole owner, so no claim step is needed.
       mark(cell);
       unlink(cell);
-      quarantine_->retire(cell);
+      retire(cell);
     }
   }
 
@@ -108,7 +105,7 @@ class AnnounceList {
     }
     mark(cell);
     unlink(cell);
-    quarantine_->retire(cell);
+    retire(cell);
   }
 
   /// Head sentinel (key -inf ascending / +inf descending).
@@ -140,8 +137,8 @@ class AnnounceList {
   /// Destructor-time reclamation (requires quiescence): hand every cell
   /// still chained — the canonical announcements of resident update
   /// nodes — back to the pool. Marked cells are skipped: a marked cell
-  /// was already claimed by a retire path (its quarantine or EBR limbo
-  /// owns it; releasing it here would double-free).
+  /// was already claimed by a retire path (its EBR limbo owns it;
+  /// releasing it here would double-free).
   void release_all_cells_for_destruction() {
     AnnCell* c = strip(head_.next.load());
     while (c != &tail_) {
@@ -210,17 +207,25 @@ class AnnounceList {
     }
   }
 
-  /// Best-effort physical removal: one search pass snips marked cells
-  /// around this key (including `cell` unless a concurrent pass did).
-  /// A cell that stays linked is caught by the quarantine's pinned-set
-  /// closure from the list head, so failure here costs latency, not
-  /// safety.
+  /// Physical removal of a marked cell: one complete search pass over
+  /// its key. search() restarts on every failed CAS and passes every cell
+  /// up to the first unmarked one beyond the key, so it snips `cell`
+  /// unless a concurrent pass already did. Either way the cell is
+  /// unreachable from the head on return, and a Harris list never links
+  /// an unlinked cell again.
   void unlink(AnnCell* cell) {
     AnnCell *pred, *curr;
     search(cell->key, pred, curr);
   }
 
-  CellQuarantine* quarantine_;
+  /// Hand a marked, unlinked cell to the pool after two chained grace
+  /// periods: this retire, then AnnCellPool::release's own.
+  static void retire(AnnCell* cell) {
+    ebr::retire(cell, [](void* p) {
+      AnnCellPool::release(static_cast<AnnCell*>(p));
+    });
+  }
+
   const int side_;
   // False-sharing fix (E16 audit): head_.next is the most-CASed word of
   // every announce list (all inserts splice at or walk from it, and the

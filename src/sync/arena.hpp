@@ -3,8 +3,8 @@
 //
 // Properties relied on by the trie:
 //  * Nodes are never recycled while the owning structure lives, so every
-//    pointer comparison (FirstActivated, dNodePtr CAS expected values,
-//    U-ALL cell dedup) is ABA-free, exactly as under GC.
+//    pointer comparison (FirstActivated, dNodePtr CAS expected values)
+//    on them is ABA-free, exactly as under GC.
 //  * Allocation is wait-free per thread: each thread bump-allocates from
 //    its own chunk; a new chunk is pushed onto a global lock-free chunk
 //    list only when the current one fills.
@@ -16,8 +16,7 @@
 // the bounded populations: the dummy DEL nodes of TrieCore and the
 // update nodes of the relaxed trie. The lock-free trie's churn-allocated
 // nodes — update, query and notify nodes and announcement cells — come
-// from the recycling pools (core/trie_pools.hpp, lists/pall.hpp,
-// reclaim/cell_quarantine.hpp).
+// from the recycling pools (core/trie_pools.hpp, lists/pall.hpp).
 #pragma once
 
 #include <array>

@@ -36,7 +36,8 @@ class AtomicCopyWord {
   explicit AtomicCopyWord(uintptr_t initial = 0) : word_(initial) {}
 
   /// Writer only: atomically dst <- *src. `src` must outlive the call on
-  /// all helping paths (list cells are arena-managed, so they do).
+  /// all helping paths (a retired list cell is reused only two grace
+  /// periods later, after every helper that could resolve it).
   void copy(const std::atomic<uintptr_t>* src) noexcept {
     const uintptr_t desc = reinterpret_cast<uintptr_t>(src) | kTag;
     word_.store(desc, std::memory_order_seq_cst);

@@ -7,13 +7,13 @@
 //
 // Used by the versioned and compressed tries to run with bounded
 // memory, and by the trie's recycling pools: query, notify and INS/DEL update nodes
-// (lists/pall.hpp, core/trie_pools.hpp) and announcement cells
-// (reclaim/cell_quarantine.hpp, which adds a quarantine where a grace
-// period alone is not enough) rejoin their free lists only after a
-// grace period, and every trie operation holds a Guard. Update nodes
-// additionally carry pins for the references the paper's algorithm
-// keeps past a guard (dNodePtr, notify chains, INS targets). The arena
-// keeps only the bounded populations (dummy and relaxed-trie nodes).
+// (lists/pall.hpp, core/trie_pools.hpp) rejoin their free lists only
+// after a grace period, announcement cells (lists/announce_list.hpp)
+// after two chained ones, and every trie operation holds a Guard.
+// Update nodes additionally carry pins for the references the paper's
+// algorithm keeps past a guard (dNodePtr, notify chains, INS targets).
+// The arena keeps only the bounded populations (dummy and relaxed-trie
+// nodes).
 //
 // Layout note (E16 false-sharing audit): per-thread announce words are a
 // PaddedAtomic array separate from the owner-only limbo state — see the

@@ -17,11 +17,15 @@
 // predicate.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "sync/ebr.hpp"
 #include "workload/harness.hpp"
 
 namespace lfbt {
@@ -31,6 +35,11 @@ struct SoakWindowSample {
   uint64_t ops = 0;               // ops executed in this window
   std::size_t structure_bytes = 0;  // set.memory_reserved() after the window
   std::size_t pool_bytes = 0;       // sum of MemStats bytes_reserved
+  // The same bytes by MemClass, and ebr::pending() after the window: a
+  // pool tail that grows while retirements pile up in EBR limbo is EBR
+  // lag, not a leak.
+  std::array<std::size_t, kNumMemClasses> class_bytes{};
+  std::size_t ebr_pending = 0;
   double mops_per_sec = 0;
 };
 
@@ -49,11 +58,6 @@ struct SoakConfig {
   // control plane's allocations (tables, ctl blocks, shard arenas) too.
   std::function<void(int window)> disturbance;
 };
-
-/// Total pooled bytes across every memory class.
-inline std::size_t pooled_bytes_total() {
-  return static_cast<std::size_t>(Stats::memory().total_reserved());
-}
 
 /// Runs `cfg.windows` churn windows against `set`, sampling after each.
 /// The same structure instance is reused across windows (that is the
@@ -94,7 +98,12 @@ std::vector<SoakWindowSample> churn_soak(Set& set, const SoakConfig& cfg) {
     if constexpr (MemoryReportingOrderedSet<Set>) {
       s.structure_bytes = set.memory_reserved();
     }
-    s.pool_bytes = pooled_bytes_total();
+    const MemStats::Snapshot mem = Stats::memory();
+    s.pool_bytes = mem.total_reserved();
+    for (int c = 0; c < kNumMemClasses; ++c) {
+      s.class_bytes[c] = mem.cls[c].bytes_reserved;
+    }
+    s.ebr_pending = ebr::pending();
     s.mops_per_sec = r.mops_per_sec;
     samples.push_back(s);
   }
@@ -115,6 +124,23 @@ inline bool soak_tail_is_flat(const std::vector<SoakWindowSample>& samples,
   const SoakWindowSample& b = samples.back();
   return b.structure_bytes <= a.structure_bytes &&
          b.pool_bytes <= a.pool_bytes + pool_slack;
+}
+
+/// One line per window (structure bytes, pool bytes by class, EBR
+/// backlog), for a failed flatness check to print as its evidence.
+inline std::string describe(const std::vector<SoakWindowSample>& samples) {
+  std::ostringstream out;
+  for (const SoakWindowSample& s : samples) {
+    out << "window " << s.window << ": structure " << s.structure_bytes
+        << ", ebr pending " << s.ebr_pending << ", pools " << s.pool_bytes
+        << " (";
+    for (int c = 0; c < kNumMemClasses; ++c) {
+      out << (c == 0 ? "" : ", ") << kMemClassNames[c] << ' '
+          << s.class_bytes[c];
+    }
+    out << ") bytes\n";
+  }
+  return out.str();
 }
 
 }  // namespace lfbt

@@ -3,29 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "core/trie_pools.hpp"
+#include "reclaim/mem_stats.hpp"
 #include "sync/arena.hpp"
+#include "sync/random.hpp"
 
 namespace lfbt {
 namespace {
 
-/// Both position lists wired to a real P-ALL and CellQuarantine, as the
-/// trie wires them: every retired cell goes through the quarantine.
+/// Both position lists beside a P-ALL, as the trie holds them.
 struct Lists {
   PAll pall;
-  CellQuarantine* quarantine = new CellQuarantine;
-  AnnounceList ruall{kPredSide, quarantine};
-  AnnounceList uall{kSuccSide, quarantine};
+  AnnounceList ruall{kPredSide};
+  AnnounceList uall{kSuccSide};
 
-  Lists() { quarantine->set_roots(&pall, ruall.head(), uall.head()); }
   ~Lists() {
     ruall.release_all_cells_for_destruction();
     uall.release_all_cells_for_destruction();
-    quarantine->detach_and_drain();
   }
 };
 
@@ -44,14 +42,34 @@ std::vector<Key> visible_keys(AnnounceList& list) {
   return out;
 }
 
-/// Every cell the pool can hand out right now: acquires as many cells as
-/// were ever carved (so the free list runs dry), then gives them back.
-std::unordered_set<AnnCell*> pool_free_cells() {
-  std::vector<AnnCell*> got(AnnCellPool::allocated_count());
-  for (AnnCell*& c : got) c = AnnCellPool::acquire(0, nullptr);
-  for (AnnCell* c : got) AnnCellPool::release(c);
-  ebr::drain_unsafe();
-  return {got.begin(), got.end()};
+/// Whether `c` is on the pool's free list now: pops the whole free list
+/// (up to the first freshly carved cell), then hands every popped cell
+/// back through the normal release.
+bool pooled(const AnnCell* c) {
+  std::vector<AnnCell*> got;
+  bool found = false;
+  for (;;) {
+    const uint64_t recycled = MemStats::snapshot(MemClass::kAnnCell).recycled;
+    AnnCell* g = AnnCellPool::acquire(0, nullptr);
+    got.push_back(g);
+    if (MemStats::snapshot(MemClass::kAnnCell).recycled == recycled) break;
+    found |= g == c;
+  }
+  for (AnnCell* g : got) AnnCellPool::release(g);
+  return found;
+}
+
+/// Whether `c` is on the raw chain of `list` (marked cells included).
+bool linked(AnnounceList& list, const AnnCell* c) {
+  for (AnnCell* x = AnnounceList::strip(list.head()->next.load());
+       x != list.tail(); x = AnnounceList::strip(x->next.load())) {
+    if (x == c) return true;
+  }
+  return false;
+}
+
+void wait_for(const std::atomic<int>& phase, int at_least) {
+  while (phase.load() < at_least) std::this_thread::yield();
 }
 
 TEST(AnnounceList, AscendingInsertKeepsSortedOrder) {
@@ -201,48 +219,91 @@ TEST(AnnounceList, NextWordExposesTraversableChain) {
   EXPECT_EQ(seen, (std::vector<Key>{3, 2, 1}));
 }
 
-TEST(AnnounceList, QuarantineKeepsUallCellAnchoredByPositionWord) {
-  // Successor position words point into the U-ALL, so a retired U-ALL
-  // cell must not return to the pool while an announcement on the P-ALL
-  // still holds it, and must return once the announcement is gone.
-  constexpr Key kBatch = 256;  // two scavenge thresholds' worth of cells
+TEST(AnnounceList, RetiredCellOutlivesNotifierThatReadItsPosition) {
+  // The second grace period (docs/DESIGN.md, "Announcement-cell
+  // reclamation"): a query announces a position naming cell C, C is
+  // retracted, a notifier reads that position, then the query leaves and
+  // ends its guard. C must stay out of the pool until the notifier's
+  // guard ends too, and return after it.
   NodeArena arena;
   Lists lists;
-  // The largest key, so the frozen next word of its cell is the tail and
-  // pins no other cell.
-  UpdateNode* anchored = make_node(arena, 10 * kBatch);
-  lists.uall.insert(anchored);
-  AnnCell* cell = anchored->ann_cell[kSuccSide].load();
-  PredecessorNode* query = QueryNodePool::acquire(0, QueryDir::kSucc);
-  query->position[kSuccSide].store(AnnounceList::pack(cell));
-  lists.pall.push(query);
-  lists.uall.remove(anchored);
+  UpdateNode* n = make_node(arena, 5);
+  AnnCell* cell = nullptr;
+  AnnCell* seen = nullptr;
+  std::atomic<int> phase{0};
+  std::thread query([&] {
+    ebr::Guard g;
+    lists.uall.insert(n);
+    cell = n->ann_cell[kSuccSide].load();
+    PredecessorNode* p = QueryNodePool::acquire(0, QueryDir::kSucc);
+    p->position[kSuccSide].store(AnnounceList::pack(cell));
+    lists.pall.push(p);
+    phase = 1;
+    wait_for(phase, 3);
+    lists.pall.remove_for_reuse(p);  // leaves the P-ALL, then the guard ends
+    retire_query_announcement(p);
+  });
+  std::thread notifier([&] {
+    wait_for(phase, 2);
+    ebr::Guard g;
+    PredecessorNode* p = lists.pall.first_live();
+    seen = AnnounceList::strip(p->position[kSuccSide].read());
+    phase = 3;
+    wait_for(phase, 4);
+  });
+  wait_for(phase, 1);
+  lists.uall.remove(n);
+  phase = 2;
+  query.join();
+  ASSERT_EQ(seen, cell);
+  for (int i = 0; i < 256; ++i) ebr::collect();
+  EXPECT_FALSE(pooled(cell)) << "cell reissued while a notifier holds it";
+  phase = 4;
+  notifier.join();
+  bool back = false;
+  for (int i = 0; i < 256 && !back; ++i) {
+    ebr::collect();
+    back = pooled(cell);
+  }
+  EXPECT_TRUE(back) << "cell never returned to the pool";
+}
 
-  auto retire_batch = [&](Key base) {
-    std::vector<AnnCell*> cells;
-    for (Key k = base; k < base + kBatch; ++k) {
-      UpdateNode* n = make_node(arena, k);
-      lists.uall.insert(n);
-      cells.push_back(n->ann_cell[kSuccSide].load());
-      lists.uall.remove(n);
-    }
-    ebr::drain_unsafe();  // admit every cell; the scavenges release them
-    return cells;
-  };
-
-  const std::vector<AnnCell*> others = retire_batch(0);
-  ASSERT_EQ(std::count(others.begin(), others.end(), cell), 0);
-  std::unordered_set<AnnCell*> free_cells = pool_free_cells();
-  EXPECT_EQ(free_cells.count(cell), 0u) << "anchored cell was recycled";
-  EXPECT_TRUE(std::any_of(others.begin(), others.end(), [&](AnnCell* c) {
-    return free_cells.count(c) != 0;
-  })) << "no scavenge released the unanchored cells";
-
-  lists.pall.remove_for_reuse(query);
-  retire_query_announcement(query);
-  retire_batch(kBatch);
-  EXPECT_EQ(pool_free_cells().count(cell), 1u)
-      << "cell still held after its announcement left the P-ALL";
+TEST(AnnounceList, RemovedCellIsUnreachableFromEitherHead) {
+  // remove() ends with a complete search pass over the cell's key, so on
+  // return the cell is off its list's chain, even while other threads'
+  // passes race it. The guard spans remove and the walk, so the pool
+  // cannot reissue the cell in between.
+  NodeArena arena;
+  Lists lists;
+  constexpr int kThreads = 4;
+  constexpr int kOps = 4000;
+  constexpr int kLive = 4;  // announcements each thread keeps in the lists
+  std::atomic<int> stranded{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      Xoshiro256 rng(1000 + t);
+      std::deque<UpdateNode*> live;
+      for (int i = 0; i < kOps; ++i) {
+        UpdateNode* n = make_node(arena, static_cast<Key>(rng.bounded(16)));
+        lists.uall.insert(n);
+        lists.ruall.insert(n);
+        live.push_back(n);
+        if (live.size() <= kLive) continue;
+        UpdateNode* old = live.front();
+        live.pop_front();
+        for (AnnounceList* list : {&lists.uall, &lists.ruall}) {
+          ebr::Guard g;
+          AnnCell* c = old->ann_cell[list == &lists.uall ? kSuccSide
+                                                         : kPredSide].load();
+          list->remove(old);
+          if (linked(*list, c)) stranded.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(stranded.load(), 0) << "removed cells still linked after remove";
 }
 
 }  // namespace

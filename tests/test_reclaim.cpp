@@ -1,9 +1,9 @@
 // The reclamation subsystem (src/reclaim/): RecyclePool's carve/release/
 // recycle discipline on a private instantiation, MemStats accounting,
 // ChunkStore retire-and-reuse, steady-state footprint across whole
-// structure lifetimes (arena chunks + pools + the announcement-cell
-// quarantine all cycling), and the churn-soak leak gate over the flat
-// and sharded tries through the shared soak harness.
+// structure lifetimes (arena chunks and every pool cycling), and the
+// churn-soak leak gate over the flat and sharded tries through the
+// shared soak harness.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -139,10 +139,10 @@ TEST(ChunkStore, RetiredChunkIsReusedForTheNextFit) {
 TEST(Reclaim, StructureLifetimeChurnReachesSteadyFootprint) {
   // Create / churn / destroy whole tries in a loop. Every class cycles:
   // arena chunks retire to the ChunkStore at trie destruction, update /
-  // notify / query nodes flow through their pools, announcement cells
-  // through the quarantine. After a warm-up lifetime establishes the
-  // high-water mark, further identical lifetimes must draw bytes from
-  // recycling, not from the OS.
+  // notify / query nodes and announcement cells flow through their
+  // pools. After a warm-up lifetime establishes the high-water mark,
+  // further identical lifetimes must draw bytes from recycling, not from
+  // the OS.
   auto churn_once = [] {
     LockFreeBinaryTrie t(1 << 10);
     Xoshiro256 rng(4242);  // same seed: identical per-lifetime demand
@@ -194,7 +194,8 @@ void expect_soak_tail_flat(Set& set, const SoakConfig& cfg) {
   EXPECT_TRUE(soak_tail_is_flat(samples))
       << "last two windows: structure bytes " << a.structure_bytes << " -> "
       << b.structure_bytes << ", pool bytes " << a.pool_bytes << " -> "
-      << b.pool_bytes;
+      << b.pool_bytes << "\n"
+      << describe(samples);
 }
 
 TEST(Reclaim, ChurnSoakSmokeTailIsFlat) {

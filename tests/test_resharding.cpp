@@ -487,7 +487,8 @@ TEST(Resharding, SplitMergeChurnSoakStaysFlat) {
       << samples[samples.size() - 2].structure_bytes << " -> "
       << samples.back().structure_bytes << " bytes, pools "
       << samples[samples.size() - 2].pool_bytes << " -> "
-      << samples.back().pool_bytes << " bytes";
+      << samples.back().pool_bytes << " bytes\n"
+      << describe(samples);
 }
 
 }  // namespace
