@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repeat-runs the Wing–Gong linearizability and single-writer oracle
-# tests of each concurrency test binary, and the announcement-cell
-# reclamation tests, so a flake that one ctest pass hides shows up as a
-# failure rate. Meant for a host with >= 4 hardware threads, where
+# tests of each concurrency test binary, the announcement-cell
+# reclamation tests and the relaxed-trie and trie-sweep concurrency
+# tests, so a flake that one ctest pass hides shows up as a failure rate. Meant for a host with >= 4 hardware threads, where
 # interleavings come from real parallelism rather than preemption.
 #
 #   usage: scripts/stress_repeat.sh N [build-dir]   (default build)
@@ -36,6 +36,8 @@ SUITES=(
   "test_fused_query FusedQueryLinearizability.*:*StalledFusedDeleteUnderConcurrentQueries"
   "test_keys CompressedTrieConcurrent.*"
   "test_announce_list AnnounceList.RemovedCellIsUnreachableFromEitherHead:AnnounceList.RetiredCellOutlivesNotifierThatReadItsPosition"
+  "test_relaxed_trie_concurrent RelaxedTrieConc.*"
+  "test_lockfree_trie_properties TrieSweep.*"
 )
 
 fail=0

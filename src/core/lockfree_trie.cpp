@@ -84,10 +84,10 @@ LockFreeBinaryTrie::~LockFreeBinaryTrie() {
 
 bool LockFreeBinaryTrie::contains(Key x) {
   assert(x >= 0 && x < core_.universe());
-  // The guard is new with update-node pooling: latest-list nodes may now
-  // be recycled, and find_latest dereferences them.
+  // Latest-list nodes may be recycled, and peek_latest dereferences them.
   ebr::Guard guard;
-  return core_.find_latest(x)->type == NodeType::kIns;
+  UpdateNode* n = core_.peek_latest(x);
+  return n != nullptr && n->type == NodeType::kIns;
 }
 
 void LockFreeBinaryTrie::announce(UpdateNode* u) {
@@ -185,8 +185,10 @@ template <bool Crash>
 bool LockFreeBinaryTrie::erase_op(Key x) {
   assert(x >= 0 && x < core_.universe());
   ebr::Guard guard;
-  UpdateNode* i_node = core_.find_latest(x);
-  if (i_node->type != NodeType::kIns) return false;  // l.183: x not in S
+  UpdateNode* i_node = core_.peek_latest(x);
+  if (i_node == nullptr || i_node->type != NodeType::kIns) {
+    return false;  // l.183: x not in S
+  }
   QueryAnswer q1 = query_helper_fused(x, QueryDir::kBoth);  // l.184 + mirror
   DelNode* d_node = DelNodePool::acquire(x, core_.b());
   d_node->latest_next.store(i_node);     // l.187
@@ -302,6 +304,7 @@ void LockFreeBinaryTrie::notify_query_ops(UpdateNode* u) {
       NotifyNodePool::release(n);
       return;
     }
+    Stats::count_notify_push();
   }
 }
 

@@ -3,7 +3,8 @@
 // the pin/retire helper verbs the trie and the relaxed core share.
 // Together with QueryNodePool (lists/pall.hpp) these replace every
 // per-operation arena allocation of the lock-free trie; the arena keeps
-// only the bounded populations (dummy nodes, relaxed-trie nodes).
+// only the bounded populations (materialised latest dummies, relaxed-trie
+// nodes).
 //
 // Lifecycle of a pooled update node:
 //   acquire (pop or carve, fields reset, pooled bit set)
@@ -174,7 +175,7 @@ class DelNodePool {
 };
 
 /// Route a Released update node back to its pool. Arena-allocated nodes
-/// (dummies, relaxed-trie nodes) ran the same state machine but own no
+/// (latest dummies, relaxed-trie nodes) ran the same state machine but own no
 /// pool storage — their "release" is a no-op and the arena keeps them.
 inline void release_update_to_pool(UpdateNode* u) {
   if (!u->pooled()) return;

@@ -69,8 +69,10 @@ inline bool has_side(QueryDir d, int side) noexcept {
 /// completion) forbids new pins;
 /// release fires when a retired node's last pin drops, and always routes
 /// through ebr::retire so guarded readers stay safe. Arena-allocated
-/// nodes (dummies, the relaxed trie's) run the same state machine with
-/// the pooled bit clear, making every transition a harmless no-op.
+/// nodes (the latest dummies TrieCore materialises for writers, the
+/// relaxed trie's) run the same state machine with the pooled bit clear,
+/// making every transition a harmless no-op. A dNodePtr slot's initial
+/// dummy is null and is never materialised, so it holds no pin.
 struct UpdateNode {
   UpdateNode(Key k, NodeType t) : key(k), type(t) {}
 

@@ -32,7 +32,8 @@ class RelaxedBinaryTrie {
   /// Paper TrieSearch (l.15–18). O(1) worst case.
   bool contains(Key x) {
     assert(x >= 0 && x < core_.universe());
-    return core_.find_latest(x)->type == NodeType::kIns;
+    UpdateNode* n = core_.peek_latest(x);
+    return n != nullptr && n->type == NodeType::kIns;
   }
 
   /// Paper TrieInsert (l.28–37).
@@ -53,8 +54,10 @@ class RelaxedBinaryTrie {
   /// Paper TrieDelete (l.47–57).
   void erase(Key x) {
     assert(x >= 0 && x < core_.universe());
-    UpdateNode* i_node = core_.find_latest(x);
-    if (i_node->type != NodeType::kIns) return;  // x not in S
+    UpdateNode* i_node = core_.peek_latest(x);
+    if (i_node == nullptr || i_node->type != NodeType::kIns) {
+      return;  // x not in S
+    }
     auto* d_node = arena_.create<DelNode>(x, core_.b());
     d_node->status.store(UpdateNode::kActive, std::memory_order_relaxed);
     d_node->latest_next.store(i_node);

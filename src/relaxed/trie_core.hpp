@@ -15,12 +15,20 @@
 // interpreted bit of leaf x is derived from latest[x].
 //
 // Lazy dummies. The paper initialises latest[x] and every dNodePtr with
-// dummy DEL nodes. We materialise them on first touch instead (a CAS from
-// null), which keeps untouched regions of a large universe free: a dummy
-// fabricated late is semantically an "older than everything" DEL node,
-// exactly the initial state. Fabricated dNodePtr dummies are only used
-// for their key and CAS identity; interpreted bits always go through
-// latest[key].
+// dummy DEL nodes. Here a null slot *is* the initial dummy: a DEL node of
+// the slot's key (x, or the leftmost leaf of t), Active, completed, with
+// interpreted bit 0 at every height (upper0 = b, lower1 = b+1). Readers
+// never allocate: peek_latest returns null for an untouched latest[x], and
+// interpreted_bit reads that as bit 0. dNodePtr slots are never
+// materialised — their dummy is only used for its key and CAS identity,
+// so delete_binary_trie CASes from null. A latest[x] dummy is materialised
+// (a CAS from null, in the arena) only by the two writers that need a real
+// node: an insert, whose CAS needs an expected node and whose l.167
+// latest_next needs a target, and insert_binary_trie, whose min-write to
+// the dummy's lower1 is real state. A materialised dummy is semantically
+// an "older than everything" DEL node, exactly the initial state. Slots
+// never return to null, so every CAS stays ABA-free. Soundness of reading
+// null as the dummy: docs/DESIGN.md, "Relaxed trie".
 #pragma once
 
 #include <atomic>
@@ -66,7 +74,8 @@ class TrieCore {
   }
   bool is_leaf(uint64_t t) const noexcept { return t >= leaf_base_; }
 
-  /// latest[x] with lazy dummy installation; never returns null.
+  /// latest[x], materialising the initial dummy if the slot is still null;
+  /// never returns null. For writers that need a real node.
   UpdateNode* read_latest(Key x) {
     Stats::count_read();
     UpdateNode* n = latest_[x].load();
@@ -82,33 +91,39 @@ class TrieCore {
   }
 
   /// Paper FindLatest (l.116–120): first activated node of the latest[x]
-  /// list.
+  /// list, materialising the initial dummy of an untouched slot.
   UpdateNode* find_latest(Key x) {
-    UpdateNode* u = read_latest(x);
-    if (u->status.load() == UpdateNode::kInactive) {
-      Stats::count_read();
-      UpdateNode* next = u->latest_next.load();
-      Stats::count_read();
-      if (next != nullptr) return next;
-    }
-    return u;
+    return skip_inactive_head(read_latest(x));
   }
 
-  /// Paper FirstActivated (l.125–127).
+  /// FindLatest for readers: null iff latest[x] is still the untouched
+  /// initial dummy, which nothing is allocated for.
+  UpdateNode* peek_latest(Key x) {
+    Stats::count_read();
+    UpdateNode* n = latest_[x].load();
+    return n == nullptr ? nullptr : skip_inactive_head(n);
+  }
+
+  /// Paper FirstActivated (l.125–127). `n` was installed in
+  /// latest[n->key], so the slot is not null.
   bool first_activated(UpdateNode* n) {
-    UpdateNode* u = read_latest(n->key);
+    Stats::count_read();
+    UpdateNode* u = latest_[n->key].load();
+    assert(u != nullptr);
     if (u == n) return true;
     Stats::count_read(2);
     return u->status.load() == UpdateNode::kInactive && u->latest_next.load() == n;
   }
 
-  /// Paper InterpretedBit (l.22–27).
+  /// Paper InterpretedBit (l.22–27). An untouched latest slot is the
+  /// initial dummy, whose upper0 = b and lower1 = b+1 make the bit 0.
   bool interpreted_bit(uint64_t t) {
     if (is_leaf(t)) {
-      return find_latest(static_cast<Key>(t - leaf_base_))->type == NodeType::kIns;
+      UpdateNode* u = peek_latest(static_cast<Key>(t - leaf_base_));
+      return u != nullptr && u->type == NodeType::kIns;
     }
-    DelNode* d = read_dnodeptr(t);
-    UpdateNode* u = find_latest(d->key);
+    UpdateNode* u = peek_latest(dnode_key(t, read_dnodeptr(t)));
+    if (u == nullptr) return false;
     if (u->type == NodeType::kIns) return true;
     auto* dn = static_cast<DelNode*>(u);
     const uint32_t h = height(t);
@@ -128,7 +143,8 @@ class TrieCore {
     while (t > 1) {
       t >>= 1;
       DelNode* d = read_dnodeptr(t);
-      UpdateNode* u = find_latest(d->key);
+      // Materialises an untouched latest dummy: l.46 may min-write it.
+      UpdateNode* u = find_latest(dnode_key(t, d));
       if (u->type != NodeType::kDel) continue;
       auto* dn = static_cast<DelNode*>(u);
       const uint32_t h = height(t);
@@ -278,6 +294,18 @@ class TrieCore {
     return found < u_ ? found : kNoKey;  // padding keys >= u never inserted
   }
 
+  /// FindLatest's l.117–119 on a latest[x] head `u`: an Inactive head
+  /// with a live latest_next yields that next node.
+  static UpdateNode* skip_inactive_head(UpdateNode* u) {
+    if (u->status.load() == UpdateNode::kInactive) {
+      Stats::count_read();
+      UpdateNode* next = u->latest_next.load();
+      Stats::count_read();
+      if (next != nullptr) return next;
+    }
+    return u;
+  }
+
   UpdateNode* install_latest_dummy(Key x) {
     DelNode* d = make_dummy(x);
     UpdateNode* expected = nullptr;
@@ -289,34 +317,33 @@ class TrieCore {
     return expected;
   }
 
+  /// dNodePtr[t]; null is t's initial dummy, which is never materialised.
   DelNode* read_dnodeptr(uint64_t t) {
     Stats::count_read();
-    DelNode* d = dnodeptr_[t].load();
-    if (d == nullptr) {
-      // Fabricate the initial dummy for this internal node: a DEL node of
-      // the leftmost leaf key in its subtrie, older than every real op.
-      const Key l = static_cast<Key>((t << height(t)) - leaf_base_);
-      DelNode* dummy = make_dummy(l);
-      dummy->try_pin();  // residency pin, matching cas_dnodeptr's protocol
-      if (dnodeptr_[t].compare_exchange_strong(d, dummy)) {
-        Stats::count_cas(true);
-        return dummy;
-      }
-      unpin_update(dummy);  // lost; the dummy stays in the arena
-      // d now holds the winning value.
-    }
-    return d;
+    return dnodeptr_[t].load();
   }
 
-  /// dNodePtr residency holds one pin per slot: `desired` is pinned
-  /// before the CAS (it is the caller's own live node, so try_pin cannot
-  /// fail), the displaced node's residency pin is dropped on success,
-  /// desired's fresh pin on failure.
+  /// Key of the DEL node `d` read from dNodePtr[t]: for the initial dummy
+  /// (null), the leftmost leaf key of t's subtrie.
+  Key dnode_key(uint64_t t, const DelNode* d) const noexcept {
+    if (d != nullptr) return d->key;
+    return static_cast<Key>((t << height(t)) - leaf_base_);
+  }
+
+  /// dNodePtr residency holds one pin per non-null slot: `desired` is
+  /// pinned before the CAS (it is the caller's own live node, so try_pin
+  /// cannot fail), the displaced node's residency pin is dropped on
+  /// success (the null initial dummy holds none), desired's fresh pin on
+  /// failure.
   bool cas_dnodeptr(uint64_t t, DelNode* expected, DelNode* desired) {
     desired->try_pin();
-    bool ok = dnodeptr_[t].compare_exchange_strong(expected, desired);
+    const bool ok = dnodeptr_[t].compare_exchange_strong(expected, desired);
     Stats::count_cas(ok);
-    unpin_update(ok ? static_cast<UpdateNode*>(expected) : desired);
+    if (!ok) {
+      unpin_update(desired);
+    } else if (expected != nullptr) {
+      unpin_update(expected);
+    }
     return ok;
   }
 

@@ -13,10 +13,12 @@
 //    churn reuses chunk memory instead of growing the heap.
 //
 // The arena is intentionally type-erased (raw bytes). It now serves only
-// the bounded populations: the dummy DEL nodes of TrieCore and the
-// update nodes of the relaxed trie. The lock-free trie's churn-allocated
-// nodes — update, query and notify nodes and announcement cells — come
-// from the recycling pools (core/trie_pools.hpp, lists/pall.hpp).
+// the bounded populations: the latest-slot dummy DEL nodes that TrieCore
+// materialises for inserts (at most one per key; reads allocate none)
+// and the update nodes of the relaxed trie. The lock-free trie's
+// churn-allocated nodes — update, query and notify nodes and
+// announcement cells — come from the recycling pools
+// (core/trie_pools.hpp, lists/pall.hpp).
 #pragma once
 
 #include <array>

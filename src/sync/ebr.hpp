@@ -12,8 +12,8 @@
 // after two chained ones, and every trie operation holds a Guard.
 // Update nodes additionally carry pins for the references the paper's
 // algorithm keeps past a guard (dNodePtr, notify chains, INS targets).
-// The arena keeps only the bounded populations (dummy and relaxed-trie
-// nodes).
+// The arena keeps only the bounded populations (the latest dummies that
+// inserts materialise, and relaxed-trie nodes).
 //
 // Layout note (E16 false-sharing audit): per-thread announce words are a
 // PaddedAtomic array separate from the owner-only limbo state — see the

@@ -3,7 +3,8 @@
 // Used to check the paper's amortized step-complexity claims (stackbench's
 // core.* metrics, the FusedQuery step-count tests): we count shared-memory reads, CAS attempts, successful CASes and
 // min-writes performed inside trie operations, plus the query-path
-// accounting (fused-helper invocations and query-node allocations).
+// accounting (fused-helper invocations, query-node allocations and
+// notify pushes).
 // Counting is per-thread: each thread owns one slot of relaxed atomic
 // counters that only it writes, by a relaxed load and store (plain moves
 // on x86 — no lock-prefixed read-modify-write on the hot path), and
@@ -50,6 +51,9 @@ struct StepCounts {
   uint64_t query_helpers = 0;
   uint64_t fused_queries = 0;
   uint64_t query_node_allocs = 0;
+  // Notify traffic: notify nodes an update pushed onto announced queries'
+  // notify lists (paper l.146–161), one per successful push.
+  uint64_t notify_pushes = 0;
   // Service-facade accounting (E16 / serve/batch.hpp): drains executed,
   // ops drained through them, and ops the coalescing pass retired
   // without touching the structure (same-key updates superseded within a
@@ -69,8 +73,8 @@ struct StepCounts {
       &StepCounts::atomic_scans,   &StepCounts::scan_retries,
       &StepCounts::scan_fallbacks, &StepCounts::query_helpers,
       &StepCounts::fused_queries,  &StepCounts::query_node_allocs,
-      &StepCounts::batch_flushes,  &StepCounts::batch_ops,
-      &StepCounts::batch_coalesced};
+      &StepCounts::notify_pushes,  &StepCounts::batch_flushes,
+      &StepCounts::batch_ops,      &StepCounts::batch_coalesced};
 
   StepCounts& operator+=(const StepCounts& o) noexcept {
     for (auto f : kFields) this->*f += o.*f;
@@ -127,6 +131,7 @@ class Stats {
   static void count_query_node_alloc() {
     bump(slot(), &StepCounts::query_node_allocs);
   }
+  static void count_notify_push() { bump(slot(), &StepCounts::notify_pushes); }
   static void count_batch_flush(uint64_t ops, uint64_t coalesced) {
     StepCounts& s = slot();
     bump(s, &StepCounts::batch_flushes);

@@ -175,6 +175,19 @@ TEST(FusedQuery, ChainedStalledFusedDeletesBothDirections) {
   EXPECT_EQ(t.successor(33), kNoKey);
 }
 
+TEST(FusedQuery, NotifyPushesOnePerLiveAnnouncement) {
+  // The stalled delete leaves its two fused announcements in the P-ALL;
+  // every insert of a fresh key pushes one notify node onto each.
+  LockFreeBinaryTrie t(1 << 10);
+  t.insert(500);
+  ASSERT_TRUE(t.stall_delete_for_test(500));
+  constexpr uint64_t kInserts = 50;
+  StepCounts before = Stats::local();
+  for (Key k = 0; k < static_cast<Key>(kInserts); ++k) t.insert(2 * k);
+  StepCounts delta = Stats::local() - before;
+  EXPECT_EQ(delta.notify_pushes, 2 * kInserts);
+}
+
 TEST(FusedQuery, StalledFusedDeleteUnderConcurrentQueries) {
   // Fault injection under live traffic: one fused announcement pair
   // stalls, then reader threads hammer both directions across the

@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "core/lockfree_trie.hpp"
+#include "relaxed/relaxed_trie.hpp"
 #include "set_test_util.hpp"
+#include "sync/random.hpp"
 
 namespace lfbt {
 namespace {
@@ -78,9 +80,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(TrieArenaGrowth, BoundedPerOperation) {
-  // Space claim sanity: arena growth is O(ops) with a modest constant
-  // (update nodes + announcement cells + embedded predecessor nodes),
-  // independent of the universe size.
+  // Space claim sanity: arena growth is O(ops) with a modest constant,
+  // independent of the universe size. The arena holds only the latest
+  // dummies that inserts materialise; update, query and notify nodes and
+  // announcement cells come from the recycling pools.
   LockFreeBinaryTrie trie(Key{1} << 20);
   Xoshiro256 rng(9);
   constexpr int kOps = 20000;
@@ -95,6 +98,35 @@ TEST(TrieArenaGrowth, BoundedPerOperation) {
   // Generous ceiling: < 4 KiB per op on average (deletes allocate two
   // predecessor announcements plus notify nodes).
   EXPECT_LT(trie.memory_reserved(), static_cast<std::size_t>(kOps) * 4096);
+}
+
+// Reads and erases of absent keys touch only untouched (null) latest and
+// dNodePtr slots, which *are* the initial dummies: they allocate nothing.
+template <class Trie>
+void ExpectReadsReserveNothing() {
+  Trie trie(Key{1} << 20);
+  Xoshiro256 rng(21);
+  std::vector<Key> out;
+  for (int i = 0; i < 4000; ++i) {
+    const Key k = static_cast<Key>(rng.bounded(uint64_t{1} << 20));
+    EXPECT_FALSE(trie.contains(k));
+    EXPECT_EQ(trie.predecessor(k), kNoKey);
+    EXPECT_EQ(trie.successor(k), kNoKey);
+    out.clear();
+    EXPECT_EQ(trie.range_scan(k, k + 4096, 16, out), 0u);
+    trie.erase(k);
+  }
+  EXPECT_EQ(trie.predecessor(Key{1} << 20), kNoKey);
+  EXPECT_EQ(trie.successor(-1), kNoKey);
+  EXPECT_EQ(trie.memory_reserved(), 0u);
+}
+
+TEST(TrieArenaGrowth, ReadsReserveNothingLockFree) {
+  ExpectReadsReserveNothing<LockFreeBinaryTrie>();
+}
+
+TEST(TrieArenaGrowth, ReadsReserveNothingRelaxed) {
+  ExpectReadsReserveNothing<RelaxedBinaryTrie>();
 }
 
 TEST(TrieManyInstances, IndependentTriesDoNotInterfere) {

@@ -40,6 +40,10 @@ TEST_F(TrieCoreTest, LazyDummiesMakeAllBitsZeroInitially) {
   for (uint64_t t = 1; t < 128; ++t) {
     EXPECT_FALSE(core.interpreted_bit(t)) << t;
   }
+  for (Key y = 0; y <= 64; ++y) EXPECT_EQ(core.relaxed_predecessor(y), kNoKey);
+  for (Key y = -1; y < 64; ++y) EXPECT_EQ(core.relaxed_successor(y), kNoKey);
+  // Null slots are the dummies: reading them materialises nothing.
+  EXPECT_EQ(arena_.bytes_reserved(), 0u);
 }
 
 TEST_F(TrieCoreTest, ReadLatestInstallsOneDummyPerKey) {
