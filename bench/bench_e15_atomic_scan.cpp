@@ -3,9 +3,7 @@
 // atomicity for a bounded retry cost — under realistic skew the common
 // path validates first try (no copying, no locks), retries stay rare and
 // fallbacks rarer, and the latency distribution stays close to the plain
-// per-step scan's. SnapshotView read-transactions cover the hot-write
-// regime where revalidation would thrash: O(1) acquisition, then every
-// scan is atomic by construction.
+// per-step scan's.
 //
 // Like E14 this bench SELF-CHECKS: it exits non-zero when the
 // atomicity AUDIT fails — reader threads log validated scans against a
@@ -16,10 +14,8 @@
 // not a slow bench. The audit checks answers, not step counters.
 // Rows go to BENCH_E15.json.
 #include <atomic>
-#include <chrono>
 #include <thread>
 
-#include "baselines/versioned_trie.hpp"
 #include "bench_util.hpp"
 #include "core/lockfree_trie.hpp"
 #include "shard/sharded_trie.hpp"
@@ -30,7 +26,7 @@ namespace {
 
 bench::JsonRows g_json;
 
-/// Panel 1: validated-scan throughput/latency across skew, with the
+/// E15a: validated-scan throughput/latency across skew, with the
 /// atomic/retry/fallback split. kScanAtomicity routes every kRangeScan
 /// through the validated path (ShardedTrie::range_scan delegates), so
 /// r.steps carries the counter deltas the table reports.
@@ -90,78 +86,11 @@ void skew_panel(int threads) {
 
     report("flat-trie", bench_fresh<LockFreeBinaryTrie>(cfg));
     report("sharded", bench_fresh<ShardedTrie>(cfg));
-    report("versioned", bench_fresh<VersionedTrie>(cfg));
   }
-  bench::row(
-      "(versioned's plain range_scan is a snapshot walk — atomic by "
-      "construction, so it never touches the validated-path counters)");
   bench::row("");
 }
 
-/// Panel 2 (reported, not gated): SnapshotView read-transactions — the
-/// acquisition is O(1) and the per-scan cost is pure frozen-tree walking,
-/// so view-amortized scanning beats take-a-snapshot-per-scan once a
-/// transaction composes a handful of reads.
-void snapshot_panel() {
-  bench::header("E15b: SnapshotView read-transactions",
-                "O(1) snapshot() acquisition; scans against a frozen "
-                "version, amortized over reads-per-transaction");
-
-  VersionedTrie t(Key{1} << 16);
-  Xoshiro256 fill(7);
-  for (int i = 0; i < 1 << 15; ++i) {
-    t.insert(static_cast<Key>(fill.bounded(uint64_t{1} << 16)));
-  }
-
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    Xoshiro256 rng(11);
-    while (!stop.load(std::memory_order_acquire)) {
-      const Key k = static_cast<Key>(rng.bounded(uint64_t{1} << 16));
-      if (rng.bounded(2) != 0) {
-        t.insert(k);
-      } else {
-        t.erase(k);
-      }
-    }
-  });
-
-  bench::row("| reads/txn | scans/s (M) | keys/scan |");
-  bench::row("|-----------|-------------|-----------|");
-  for (const int per_txn : {1, 8, 64}) {
-    const uint64_t scans = bench::scaled(200000);
-    Xoshiro256 rng(13);
-    uint64_t keys = 0;
-    std::vector<Key> out;
-    const auto t0 = std::chrono::steady_clock::now();
-    uint64_t done = 0;
-    while (done < scans) {
-      SnapshotView v = t.snapshot();
-      for (int j = 0; j < per_txn && done < scans; ++j, ++done) {
-        const Key lo = static_cast<Key>(rng.bounded(uint64_t{1} << 16));
-        out.clear();
-        keys += v.range_scan(lo, lo + 63, 64, out);
-      }
-      v.release();
-    }
-    const double sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    bench::row(bench::fmt("| %9d | %11.3f | %9.2f |", per_txn,
-                          double(scans) / sec / 1e6,
-                          double(keys) / double(scans)));
-    g_json.add(bench::fmt(
-        "{\"panel\":\"snapshot\",\"reads_per_txn\":%d,\"scans\":%llu,"
-        "\"scans_per_sec\":%.1f,\"keys_per_scan\":%.2f}",
-        per_txn, static_cast<unsigned long long>(scans), double(scans) / sec,
-        double(keys) / double(scans)));
-  }
-  stop.store(true, std::memory_order_release);
-  writer.join();
-  bench::row("");
-}
-
-/// Panel 3 (GATED): the atomicity audit. One writer owns the abstract
+/// E15c (GATED): the atomicity audit. One writer owns the abstract
 /// state timeline; reader threads hammer validated scans (whole windows
 /// as bitmasks, universe 48) while a churner splits and re-merges ranges
 /// the entire time. Every scan reporting atomic=true must match some
@@ -279,7 +208,6 @@ int main() {
   if (threads <= 0) threads = 1;
 
   skew_panel(threads);
-  snapshot_panel();
   const bool ok = audit_panel();
 
   if (!g_json.write("BENCH_E15.json")) return 1;

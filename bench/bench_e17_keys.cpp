@@ -4,43 +4,30 @@
 // Subsystem claim (docs/EXPERIMENTS.md): routing real key types
 // (uint64_t, std::string) through KeyCodec + KeyspaceView costs little
 // enough that the lock-free trie family keeps its concurrency wins over
-// `std::set` under a global mutex and `std::unordered_set` under a
-// readers-writer lock — and the TKTRIE2-style path compression
-// (keys/compressed_trie.hpp) beats the uncompressed per-bit layout of
-// the same structure on sparse universes. Panels, per the TKTRIE2
-// comparison methodology (read-heavy and write-heavy point-op mixes,
-// plus the ordered mix only ordered structures can serve):
+// `std::set` under a global mutex. Panels, per the TKTRIE2 comparison
+// methodology (read-heavy and write-heavy point-op mixes, plus an
+// ordered mix):
 //
-//   point-read / point-write  u64 keys, 2^20 universe: both tries vs
-//                             both std baselines, all four through the
-//                             SAME codec round trip (locked_map.hpp) so
-//                             the comparison is structures, not
-//                             conversion overhead;
-//   ordered                   predecessor-heavy mix; the hash baseline
-//                             is statically refused by run_bench, which
-//                             is the point — it has no ordered surface;
+//   point-read / point-write  u64 keys, 2^20 universe: both tries vs the
+//                             std baseline, all three through the SAME
+//                             codec round trip (locked_map.hpp) so the
+//                             comparison is structures, not conversion
+//                             overhead;
+//   ordered                   predecessor-heavy mix;
 //   sparse                    u64 keys, 2^42 universe: only the
 //                             compressed trie and std::set can host it
 //                             (the dense tries would preallocate 2^42
 //                             slots), explicit prefill_keys because a
 //                             prefill *fraction* of 2^42 is absurd;
 //   string                    6-byte-capped string keys through the
-//                             9-bit-group codec, tries vs std::set;
-//   skip                      the SAME CompressedBitTrie with path
-//                             compression on vs off (per-bit chains),
-//                             single-threaded so the measured gap is
-//                             pure structure depth, not scheduling.
+//                             9-bit-group codec, tries vs std::set.
 //
 // Like E14/E16 this bench SELF-CHECKS: it exits non-zero when
 //   - any contender disagrees with a sequential std::set oracle in the
 //     pre-timing differential audit (a codec or trie bug, not a perf
 //     regression),
 //   - a throughput-floored row (point-read enc-u64-trie, sparse
-//     enc-u64-compressed, string enc-str-compressed, skip compressed-on)
-//     completes no work,
-//   - path compression fails to beat per-bit chains by
-//     LFBT_E17_MIN_SKIP_SPEEDUP (default 1.1; single-threaded, so no
-//     host degrade is needed),
+//     enc-u64-compressed, string enc-str-compressed) completes no work,
 //   - the compressed trie's read-heavy throughput at the widest
 //     measured thread count falls below LFBT_E17_MIN_READ_SPEEDUP x the
 //     locked std::set's (default 1.0 on hosts with >= 2 hardware
@@ -74,7 +61,6 @@ double env_double(const char* name, double def) {
 using EncU64Trie = keys::KeyspaceView<uint64_t, LockFreeBinaryTrie>;
 using EncU64Compressed = keys::KeyspaceView<uint64_t, CompressedBitTrie>;
 using EncU64StdSet = keys::KeyspaceView<uint64_t, LockedStdSet>;
-using EncU64HashRw = keys::KeyspaceView<uint64_t, SharedMutexHashSet>;
 using EncStrTrie = keys::KeyspaceView<std::string, LockFreeBinaryTrie>;
 using EncStrCompressed = keys::KeyspaceView<std::string, CompressedBitTrie>;
 using EncStrStdSet = keys::KeyspaceView<std::string, LockedStdSet>;
@@ -86,8 +72,7 @@ using EncStrStdSet = keys::KeyspaceView<std::string, LockedStdSet>;
 // is worse than no number.
 // ---------------------------------------------------------------------
 template <OrderedSet Set>
-bool audit(Set& set, Key universe, uint64_t ops, bool ordered,
-           const char* what) {
+bool audit(Set& set, Key universe, uint64_t ops, const char* what) {
   Xoshiro256 rng(4242);
   std::set<Key> ref;
   for (uint64_t i = 0; i < ops; ++i) {
@@ -108,21 +93,16 @@ bool audit(Set& set, Key universe, uint64_t ops, bool ordered,
           return false;
         }
         break;
-      default:
-        if (ordered) {
-          auto it = ref.lower_bound(k);
-          const Key want = it == ref.begin() ? kNoKey : *std::prev(it);
-          if (set.predecessor(k) != want) {
-            std::fprintf(stderr, "E17 audit: %s predecessor(%lld) diverged\n",
-                         what, static_cast<long long>(k));
-            return false;
-          }
-        } else if (set.contains(k) != (ref.count(k) != 0)) {
-          std::fprintf(stderr, "E17 audit: %s contains(%lld) diverged\n", what,
-                       static_cast<long long>(k));
+      default: {
+        auto it = ref.lower_bound(k);
+        const Key want = it == ref.begin() ? kNoKey : *std::prev(it);
+        if (set.predecessor(k) != want) {
+          std::fprintf(stderr, "E17 audit: %s predecessor(%lld) diverged\n",
+                       what, static_cast<long long>(k));
           return false;
         }
         break;
+      }
     }
   }
   return true;
@@ -134,17 +114,15 @@ bool audit_all() {
   EncU64Trie a(u);
   EncU64Compressed b(u);
   EncU64StdSet c(u);
-  EncU64HashRw d(u);
-  EncStrTrie e(u);
-  EncStrCompressed f(u);
-  EncStrStdSet g(u);
-  return audit(a, u, ops, true, "enc-u64-trie") &&
-         audit(b, u, ops, true, "enc-u64-compressed") &&
-         audit(c, u, ops, true, "enc-u64-std-set") &&
-         audit(d, u, ops, false, "enc-u64-hash-rw") &&
-         audit(e, u, ops, true, "enc-str-trie") &&
-         audit(f, u, ops, true, "enc-str-compressed") &&
-         audit(g, u, ops, true, "enc-str-std-set");
+  EncStrTrie d(u);
+  EncStrCompressed e(u);
+  EncStrStdSet f(u);
+  return audit(a, u, ops, "enc-u64-trie") &&
+         audit(b, u, ops, "enc-u64-compressed") &&
+         audit(c, u, ops, "enc-u64-std-set") &&
+         audit(d, u, ops, "enc-str-trie") &&
+         audit(e, u, ops, "enc-str-compressed") &&
+         audit(f, u, ops, "enc-str-std-set");
 }
 
 // ---------------------------------------------------------------------
@@ -186,15 +164,14 @@ int main() {
   bench::header(
       "E17: typed keys through the codec front door vs std baselines",
       "encoded u64/string keys keep the trie family's concurrency wins over "
-      "std::set+mutex and std::unordered_set+shared_mutex, and path "
-      "compression beats per-bit chains on sparse universes");
+      "std::set+mutex");
 
   if (!audit_all()) {
     std::fprintf(stderr, "E17: differential audit FAILED — not timing a "
                          "structure that disagrees with the oracle\n");
     return 1;
   }
-  std::printf("pre-timing differential audit: all 7 contenders agree with "
+  std::printf("pre-timing differential audit: all 6 contenders agree with "
               "the std::set oracle\n\n");
 
   // Throughput floor on one row per panel: a row that completed no work
@@ -232,7 +209,6 @@ int main() {
     const double tr =
         run_one<EncU64Compressed>("point-read", "enc-u64-compressed", read_cfg, 20);
     const double sr = run_one<EncU64StdSet>("point-read", "enc-u64-std-set", read_cfg, 20);
-    run_one<EncU64HashRw>("point-read", "enc-u64-hash-rw", read_cfg, 20);
     if (t == top_threads) {
       trie_read = tr;
       stdset_read = sr;
@@ -242,10 +218,7 @@ int main() {
     run_one<EncU64Trie>("point-write", "enc-u64-trie", write_cfg, 20);
     run_one<EncU64Compressed>("point-write", "enc-u64-compressed", write_cfg, 20);
     run_one<EncU64StdSet>("point-write", "enc-u64-std-set", write_cfg, 20);
-    run_one<EncU64HashRw>("point-write", "enc-u64-hash-rw", write_cfg, 20);
 
-    // Ordered panel: the hash baseline is OUT — run_bench would abort on
-    // a predecessor mix against it, statically and deliberately.
     const BenchConfig ord_cfg = panel_config(t, u20, kPredHeavy, dense_prefill);
     run_one<EncU64Trie>("ordered", "enc-u64-trie", ord_cfg, 20);
     run_one<EncU64Compressed>("ordered", "enc-u64-compressed", ord_cfg, 20);
@@ -278,61 +251,8 @@ int main() {
     run_one<EncStrStdSet>("string", "enc-str-std-set", str_cfg, 16);
   }
 
-  // Skip-compression on/off: same structure, same 2^30 universe, same
-  // single-threaded balanced mix; compression collapses ~30-deep per-bit
-  // chains to ~log2(live keys) internal nodes.
-  const Key u30 = Key{1} << 30;
-  const BenchConfig skip_cfg = panel_config(1, u30, kBalanced, bench::scaled(60000));
-  double skip_on = 0, skip_off = 0;
-  {
-    CompressedBitTrie on(u30, /*compress_paths=*/true);
-    prefill(on, skip_cfg);
-    const BenchResult r = run_bench(on, skip_cfg);
-    skip_on = floored("skip compressed-on", r.mops_per_sec);
-    bench::row(bench::fmt("| %-11s | %-18s | u=2^%-2d | %d thr | %-14s | %8.3f Mops/s |",
-                          "skip", "compressed-on", 30, 1,
-                          skip_cfg.mix.name().c_str(), r.mops_per_sec));
-    g_json.add(bench::fmt(
-        "{\"panel\":\"skip\",\"structure\":\"compressed-on\",\"threads\":1,"
-        "\"mix\":\"%s\",\"universe_log2\":30,\"total_ops\":%llu,"
-        "\"elapsed_sec\":%.6f,\"mops_per_sec\":%.4f}",
-        skip_cfg.mix.name().c_str(),
-        static_cast<unsigned long long>(r.total_ops), r.elapsed_sec,
-        r.mops_per_sec));
-  }
-  {
-    CompressedBitTrie off(u30, /*compress_paths=*/false);
-    prefill(off, skip_cfg);
-    const BenchResult r = run_bench(off, skip_cfg);
-    skip_off = r.mops_per_sec;
-    bench::row(bench::fmt("| %-11s | %-18s | u=2^%-2d | %d thr | %-14s | %8.3f Mops/s |",
-                          "skip", "compressed-off", 30, 1,
-                          skip_cfg.mix.name().c_str(), r.mops_per_sec));
-    g_json.add(bench::fmt(
-        "{\"panel\":\"skip\",\"structure\":\"compressed-off\",\"threads\":1,"
-        "\"mix\":\"%s\",\"universe_log2\":30,\"total_ops\":%llu,"
-        "\"elapsed_sec\":%.6f,\"mops_per_sec\":%.4f}",
-        skip_cfg.mix.name().c_str(),
-        static_cast<unsigned long long>(r.total_ops), r.elapsed_sec,
-        r.mops_per_sec));
-  }
-
   // --- Verdicts --------------------------------------------------------
   bool ok = all_ran;
-
-  const double skip_speedup = skip_off > 0 ? skip_on / skip_off : 0;
-  const double min_skip = env_double("LFBT_E17_MIN_SKIP_SPEEDUP", 1.1);
-  std::printf("\nskip-compression speedup (single-threaded, 2^30 sparse): "
-              "%.2fx (floor %.2fx)\n", skip_speedup, min_skip);
-  g_json.add(bench::fmt(
-      "{\"panel\":\"skip\",\"mode\":\"verdict\",\"threads\":1,"
-      "\"hardware_threads\":%u,\"speedup\":%.4f,\"min_speedup\":%.4f}",
-      hw, skip_speedup, min_skip));
-  if (skip_speedup < min_skip) {
-    std::fprintf(stderr, "E17: path compression speedup %.2fx below floor "
-                         "%.2fx\n", skip_speedup, min_skip);
-    ok = false;
-  }
 
   const double read_speedup = stdset_read > 0 ? trie_read / stdset_read : 0;
   const double min_read = env_double("LFBT_E17_MIN_READ_SPEEDUP",

@@ -20,8 +20,8 @@
 //                flat out and the panel reports batched-path saturation.
 //                --rate without --batch uses the default batch capacity.
 //
-//   structure: lockfree-trie | sharded-trie | relaxed-trie | versioned |
-//              compressed | enc-u64-trie | enc-u64-compressed | enc-str-trie
+//   structure: lockfree-trie | sharded-trie | relaxed-trie | compressed |
+//              enc-u64-trie | enc-u64-compressed | enc-str-trie
 //
 // The enc-* structures run the workload through the key-encoding layer
 // (src/keys/): every op converts its dense key to a typed key
@@ -30,11 +30,9 @@
 // whatever mix you dial in. `compressed` is the raw path-compressed
 // trie (keys/compressed_trie.hpp).
 //
-// The six percentages must sum to 100. Every structure here carries the
-// full traversal surface (succ%/scan%) — the core trie answers successor
-// natively. The service panel
-// converts range scans to predecessor queries (the batch facade is a
-// point-op front door).
+// The six percentages must sum to 100; every structure serves all six op
+// kinds. The service panel converts range scans to predecessor queries
+// (the batch facade is a point-op front door).
 //
 // Examples:
 //   workbench lockfree-trie 8 100000 16 50 50 0 0
@@ -46,7 +44,6 @@
 #include <cstring>
 #include <string>
 
-#include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
 #include "keys/compressed_trie.hpp"
 #include "keys/encoded_set.hpp"
@@ -125,12 +122,6 @@ int run_service(const lfbt::BenchConfig& cfg, const char* name) {
 
 template <class Set>
 int run(const lfbt::BenchConfig& cfg, const char* name) {
-  if (cfg.mix.has_traversal() && !lfbt::TraversableOrderedSet<Set>) {
-    std::fprintf(stderr,
-                 "%s has no successor/range_scan surface; drop succ%%/scan%%\n",
-                 name);
-    return 2;
-  }
   if (g_batch > 0 || g_rate > 0) return run_service<Set>(cfg, name);
   lfbt::Stats::reset();
   auto res = lfbt::bench_fresh<Set>(cfg);
@@ -209,7 +200,6 @@ int main(int argc, char** argv) {
   if (structure == "lockfree-trie") return run<LockFreeBinaryTrie>(cfg, "lockfree-trie");
   if (structure == "sharded-trie") return run<ShardedTrie>(cfg, "sharded-trie");
   if (structure == "relaxed-trie") return run<RelaxedBinaryTrie>(cfg, "relaxed-trie");
-  if (structure == "versioned") return run<VersionedTrie>(cfg, "versioned");
   if (structure == "compressed") return run<CompressedBitTrie>(cfg, "compressed");
   if (structure == "enc-u64-trie") {
     return run<keys::KeyspaceView<uint64_t, LockFreeBinaryTrie>>(
@@ -225,7 +215,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "unknown structure '%s' (try: lockfree-trie sharded-trie "
-               "relaxed-trie versioned compressed enc-u64-trie "
+               "relaxed-trie compressed enc-u64-trie "
                "enc-u64-compressed enc-str-trie)\n",
                structure.c_str());
   return 2;

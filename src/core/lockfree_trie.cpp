@@ -43,29 +43,22 @@ UpdateNode* pin_nearest_ins(const Vec& ins, Key y, int side) {
 
 /// One side's share of the notify-list pass (paper l.218–227 and its
 /// mirror): acceptance tests are the paper's, reflected through the key
-/// order on the successor side; dedup via the scratch seen-sets replaces
-/// the old push_unique scans.
+/// order on the successor side; the scratch sets dedup.
 void accept_notification(const NotifyNode* nn, int side, DirScratch& ds) {
   const Key thr = nn->threshold[side];
   if (nn->update_node->type == NodeType::kIns) {
-    if (!on_side(nn->key, thr, side) &&
-        ds.i_notify_seen.insert(nn->update_node)) {
-      ds.i_notify.push_back(nn->update_node);
-    }
-  } else if (on_side(thr, nn->key, side) &&
-             ds.d_notify_seen.insert(nn->update_node)) {
-    ds.d_notify.push_back(nn->update_node);
+    if (!on_side(nn->key, thr, side)) ds.i_notify.insert(nn->update_node);
+  } else if (on_side(thr, nn->key, side)) {
+    ds.d_notify.insert(nn->update_node);
   }
   // l.226–227: accept the notifier's U-ALL extremum when we were past
   // the position-list end at notification time and the notifier itself
   // is not an update we already account for via the position list.
   const Key end_threshold = side == kPredSide ? kNegInf : kPosInf;
-  if (thr == end_threshold && !ds.i_pos_set.contains(nn->update_node) &&
-      !ds.d_pos_set.contains(nn->update_node)) {
+  if (thr == end_threshold && !ds.i_pos.contains(nn->update_node) &&
+      !ds.d_pos.contains(nn->update_node)) {
     UpdateNode* ext = nn->ext[side];
-    if (ext != nullptr && ds.i_notify_seen.insert(ext)) {
-      ds.i_notify.push_back(ext);
-    }
+    if (ext != nullptr) ds.i_notify.insert(ext);
   }
 }
 
@@ -332,9 +325,9 @@ void LockFreeBinaryTrie::traverse_position_list(PredecessorNode* p, int side,
       if (n->status.load() != UpdateNode::kInactive &&
           n->ann_cell[side].load() == u && core_.first_activated(n)) {
         if (n->type == NodeType::kIns) {
-          ds.i_pos_set.insert(n);
-        } else if (ds.d_pos_set.insert(n)) {
-          ds.d_pos.push_back(n);
+          ds.i_pos.insert(n);
+        } else {
+          ds.d_pos.insert(n);
         }
       }
     }
@@ -424,10 +417,10 @@ Key LockFreeBinaryTrie::direction_answer(Key y, int side,
   consider_all(r1, ds.uall.ins, side);
   consider_all(r1, ds.i_notify, side);
   for (UpdateNode* n : ds.uall.del) {
-    if (!ds.d_pos_set.contains(n)) consider(r1, n->key, side);
+    if (!ds.d_pos.contains(n)) consider(r1, n->key, side);
   }
-  for (UpdateNode* n : ds.d_notify) {
-    if (!ds.d_pos_set.contains(n)) consider(r1, n->key, side);
+  for (const UpdateNode* n : ds.d_notify) {
+    if (!ds.d_pos.contains(n)) consider(r1, n->key, side);
   }
   // l.230–251: the trie traversal was blocked by concurrent updates.
   if (r0 == kBottom) {
@@ -460,8 +453,8 @@ Key LockFreeBinaryTrie::bottom_fallback(Key y, int side,
   PredecessorNode* p_prime = nullptr;
   for (std::size_t i = sc.q.size(); i-- > 0 && p_prime == nullptr;) {
     PredecessorNode* cand = sc.q[i];
-    for (UpdateNode* n : ds.d_pos) {
-      auto* dn = static_cast<DelNode*>(n);
+    for (const UpdateNode* n : ds.d_pos) {
+      const auto* dn = static_cast<const DelNode*>(n);
       if (dn->del_query_node == cand && dn->del_query_gen == cand->gen) {
         p_prime = cand;
         break;
@@ -546,8 +539,8 @@ Key LockFreeBinaryTrie::bottom_fallback(Key y, int side,
   // l.247–248: X = {del_ans[side] of Dpos deletes} ∪ {keys of INS
   // nodes in L}.
   sc.x_set.clear();
-  for (UpdateNode* n : ds.d_pos) {
-    sc.x_set.push_back(static_cast<DelNode*>(n)->del_ans[side]);
+  for (const UpdateNode* n : ds.d_pos) {
+    sc.x_set.push_back(static_cast<const DelNode*>(n)->del_ans[side]);
   }
   for (UpdateNode* n : sc.l_filtered) {
     if (n->type == NodeType::kIns) sc.x_set.push_back(n->key);
@@ -557,7 +550,7 @@ Key LockFreeBinaryTrie::bottom_fallback(Key y, int side,
   // of Dpos deletes; answer with the directional extremum of R (the
   // paper guarantees non-emptiness; return -1 defensively).
   sc.key_seen.clear();
-  for (UpdateNode* n : ds.d_pos) sc.key_seen.insert(n->key);
+  for (const UpdateNode* n : ds.d_pos) sc.key_seen.insert(n->key);
   Key best = kNoKey;
   for (Key v : sc.x_set) {
     for (std::size_t steps = 0; steps <= sc.edges.size(); ++steps) {

@@ -11,9 +11,8 @@
 // Concurrency model (TKTRIE2-style, the exemplar's split):
 //   * writes are mutex-serialized, and every tree mutation is published
 //     by ATOMIC child-pointer stores whose every intermediate state is a
-//     valid tree for some abstract set (a compressed insert or erase is
-//     a single splice; the uncompressed mode's multi-store erase only
-//     prunes empty chains after the one store that removes the key);
+//     valid tree for some abstract set (an insert or erase is a single
+//     splice);
 //   * contains() is lock-free and linearizable with no validation: node
 //     fields other than the child pointers are immutable after publish,
 //     retired subtrees stay intact under EBR, and the Harris-style
@@ -35,10 +34,6 @@
 // universes; reads — the paper's hard part — stay lock-free.
 // Differential and linearizability tests drive it against the
 // uncompressed core trie on shared universes (tests/test_keys.cpp).
-//
-// `compress_paths = false` disables skip compression: inserts then
-// materialise one internal node per bit level, exactly the pointer-
-// chasing baseline E17's skip-compression panel measures against.
 #pragma once
 
 #include <atomic>
@@ -62,11 +57,10 @@ class CompressedBitTrie {
   /// falls back to taking the write mutex.
   static constexpr int kOptimisticRetries = 16;
 
-  explicit CompressedBitTrie(Key universe, bool compress_paths = true)
+  explicit CompressedBitTrie(Key universe)
       : u_(universe),
         width_(static_cast<uint32_t>(std::bit_width(
-            static_cast<uint64_t>(universe < 2 ? 2 : universe) - 1))),
-        compress_(compress_paths) {
+            static_cast<uint64_t>(universe < 2 ? 2 : universe) - 1))) {
     assert(universe >= 1);
   }
 
@@ -79,7 +73,6 @@ class CompressedBitTrie {
   ~CompressedBitTrie() { free_subtree(root_.load(std::memory_order_relaxed)); }
 
   Key universe() const noexcept { return u_; }
-  bool compress_paths() const noexcept { return compress_; }
 
   /// Lock-free, linearizable (see header: Harris-style argument).
   bool contains(Key x) {
@@ -97,110 +90,55 @@ class CompressedBitTrie {
     std::lock_guard lock(mu_);
     std::atomic<Node*>* slot = &root_;
     Node* cur = slot->load(std::memory_order_relaxed);
-    // Descend to the attach point: the first null slot (uncompressed
-    // mode), or the node whose crit bit is at or below the divergence.
-    if (compress_) {
-      if (cur == nullptr) {
-        publish(slot, new_leaf(x));
-        return;
-      }
-      Node* probe = cur;
-      while (!probe->leaf) {
-        probe = probe->child[bit(x, probe->bit)].load(
-            std::memory_order_relaxed);
-      }
-      if (probe->key == x) return;  // present; no version bump
-      const uint32_t d = diverge_bit(x, probe->key);
-      while (!cur->leaf && cur->bit < d) {
-        slot = &cur->child[bit(x, cur->bit)];
-        cur = slot->load(std::memory_order_relaxed);
-      }
-      Node* in = new_internal(d, x);
-      in->child[bit(x, d)].store(new_leaf(x), std::memory_order_relaxed);
-      in->child[bit(x, d) ^ 1].store(cur, std::memory_order_relaxed);
-      publish(slot, in);
-    } else {
-      uint32_t depth = 0;
-      while (cur != nullptr && !cur->leaf) {
-        slot = &cur->child[bit(x, cur->bit)];
-        depth = cur->bit + 1;
-        cur = slot->load(std::memory_order_relaxed);
-      }
-      if (cur != nullptr) return;  // full-depth leaf ⇒ x itself
-      // Build the whole single-child chain privately, publish with one
-      // store: bits depth..width-1, each its own internal node — the
-      // uncompressed cost model.
-      Node* sub = new_leaf(x);
-      for (uint32_t b2 = width_; b2-- > depth;) {
-        Node* in = new_internal(b2, x);
-        in->child[bit(x, b2)].store(sub, std::memory_order_relaxed);
-        sub = in;
-      }
-      publish(slot, sub);
+    if (cur == nullptr) {
+      publish(slot, new_leaf(x));
+      return;
     }
+    Node* probe = cur;
+    while (!probe->leaf) {
+      probe = probe->child[bit(x, probe->bit)].load(std::memory_order_relaxed);
+    }
+    if (probe->key == x) return;  // present; no version bump
+    // Descend to the attach point: the node whose crit bit is at or
+    // below the divergence.
+    const uint32_t d = diverge_bit(x, probe->key);
+    while (!cur->leaf && cur->bit < d) {
+      slot = &cur->child[bit(x, cur->bit)];
+      cur = slot->load(std::memory_order_relaxed);
+    }
+    Node* in = new_internal(d, x);
+    in->child[bit(x, d)].store(new_leaf(x), std::memory_order_relaxed);
+    in->child[bit(x, d) ^ 1].store(cur, std::memory_order_relaxed);
+    publish(slot, in);
   }
 
   void erase(Key x) {
     assert(x >= 0 && x < u_);
     std::lock_guard lock(mu_);
-    if (compress_) {
-      std::atomic<Node*>* slot = &root_;
-      std::atomic<Node*>* parent_slot = nullptr;
-      Node* parent = nullptr;
-      Node* cur = slot->load(std::memory_order_relaxed);
-      int side = 0;
-      while (cur != nullptr && !cur->leaf) {
-        parent_slot = slot;
-        parent = cur;
-        side = bit(x, cur->bit);
-        slot = &cur->child[side];
-        cur = slot->load(std::memory_order_relaxed);
-      }
-      if (cur == nullptr || cur->key != x) return;
-      begin_write();
-      if (parent == nullptr) {
-        root_.store(nullptr, std::memory_order_release);
-      } else {
-        // Single splice: the sibling subtree replaces the parent.
-        parent_slot->store(
-            parent->child[side ^ 1].load(std::memory_order_relaxed),
-            std::memory_order_release);
-        retire_node(parent);
-      }
-      retire_node(cur);
-      end_write();
-    } else {
-      // Track the path so empty chains can be pruned after the unlink.
-      std::vector<std::pair<Node*, int>> path;
-      path.reserve(width_);
-      std::atomic<Node*>* slot = &root_;
-      Node* cur = slot->load(std::memory_order_relaxed);
-      while (cur != nullptr && !cur->leaf) {
-        const int side = bit(x, cur->bit);
-        path.emplace_back(cur, side);
-        slot = &cur->child[side];
-        cur = slot->load(std::memory_order_relaxed);
-      }
-      if (cur == nullptr) return;
-      assert(cur->key == x);
-      begin_write();
-      slot->store(nullptr, std::memory_order_release);  // removes the key
-      retire_node(cur);
-      // Prune now-childless internals bottom-up; the set is unchanged by
-      // every one of these stores.
-      while (!path.empty()) {
-        auto [node, side] = path.back();
-        path.pop_back();
-        if (node->child[side ^ 1].load(std::memory_order_relaxed) != nullptr) {
-          break;
-        }
-        std::atomic<Node*>* pslot =
-            path.empty() ? &root_ : &path.back().first->child[path.back().second];
-        pslot->store(nullptr, std::memory_order_release);
-        retire_node(node);
-      }
-      end_write();
+    std::atomic<Node*>* slot = &root_;
+    std::atomic<Node*>* parent_slot = nullptr;
+    Node* parent = nullptr;
+    Node* cur = slot->load(std::memory_order_relaxed);
+    int side = 0;
+    while (cur != nullptr && !cur->leaf) {
+      parent_slot = slot;
+      parent = cur;
+      side = bit(x, cur->bit);
+      slot = &cur->child[side];
+      cur = slot->load(std::memory_order_relaxed);
     }
+    if (cur == nullptr || cur->key != x) return;
+    begin_write();
+    if (parent == nullptr) {
+      root_.store(nullptr, std::memory_order_release);
+    } else {
+      // Single splice: the sibling subtree replaces the parent.
+      parent_slot->store(parent->child[side ^ 1].load(std::memory_order_relaxed),
+                         std::memory_order_release);
+      retire_node(parent);
+    }
+    retire_node(cur);
+    end_write();
     count_.fetch_sub(1, std::memory_order_relaxed);
   }
 
@@ -320,9 +258,6 @@ class CompressedBitTrie {
     begin_write();
     slot->store(sub, std::memory_order_release);
     end_write();
-    if (sub->leaf) {
-      // count already bumped in new_leaf
-    }
   }
 
   template <class F>
@@ -411,24 +346,18 @@ class CompressedBitTrie {
     return subtree_min(best);
   }
 
-  /// Max/min key of a subtree. Tolerates mid-erase intermediate states
-  /// (a both-children-null internal) by returning kNoKey — such states
-  /// only exist inside a write window, so the version bracket rejects
-  /// the read; correctness never depends on the value returned here
-  /// under interference.
+  /// Max/min key of a subtree (kNoKey for an empty one). Every
+  /// published internal node has two children, so the walk never meets a
+  /// null child below a non-null root.
   Key subtree_max(Node* n) {
     while (n != nullptr && !n->leaf) {
-      Node* c = n->child[1].load(std::memory_order_acquire);
-      if (c == nullptr) c = n->child[0].load(std::memory_order_acquire);
-      n = c;
+      n = n->child[1].load(std::memory_order_acquire);
     }
     return n != nullptr ? n->key : kNoKey;
   }
   Key subtree_min(Node* n) {
     while (n != nullptr && !n->leaf) {
-      Node* c = n->child[0].load(std::memory_order_acquire);
-      if (c == nullptr) c = n->child[1].load(std::memory_order_acquire);
-      n = c;
+      n = n->child[0].load(std::memory_order_acquire);
     }
     return n != nullptr ? n->key : kNoKey;
   }
@@ -445,7 +374,6 @@ class CompressedBitTrie {
 
   const Key u_;
   const uint32_t width_;
-  const bool compress_;
   std::mutex mu_;
   std::atomic<Node*> root_{nullptr};
   // Seqlock version: odd inside a mutating write window. seq_cst pairs

@@ -13,15 +13,16 @@
 // KeyspaceView: the same composition turned back INTO a Key-typed
 // OrderedSet via the codec's ordinal bridge (a monotone bijection
 // between the dense ordinal space [0, u) and a slice of K's domain).
-// This is what registers encoded keys on the AnyOrderedSet facade, the
-// workload harness, and every existing torture layer: Wing–Gong,
-// split-torture, scan-torture and soak all speak Key, and through the
-// view each of their ops makes the full ordinal → K → encode round
-// trip before touching the inner structure. A bug anywhere in the
+// This is what registers encoded keys on the workload harness and every
+// existing torture layer: Wing–Gong, split-torture, scan-torture and
+// soak all speak Key, and through the view each of their ops makes the
+// full ordinal → K → encode round trip before touching the inner
+// structure. A bug anywhere in the
 // codec shows up as a linearizability violation the existing oracles
 // already know how to catch.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <optional>
@@ -70,7 +71,6 @@ class EncodedOrderedSet {
   std::optional<K> predecessor(const K& k) { return dec(inner_.predecessor(enc(k))); }
 
   std::optional<K> successor(const K& k)
-    requires TraversableOrderedSet<Inner>
   {
     return dec(inner_.successor(static_cast<Key>(Codec::encode(k, width_))));
   }
@@ -86,7 +86,6 @@ class EncodedOrderedSet {
   }
 
   std::optional<K> first()
-    requires TraversableOrderedSet<Inner>
   {
     return dec(inner_.successor(Key{-1}));
   }
@@ -98,7 +97,6 @@ class EncodedOrderedSet {
   /// Weak-consistency contract of query/range_scan.hpp.
   std::size_t range_scan(const K& lo, const K& hi, std::size_t limit,
                          std::vector<K>& out)
-    requires TraversableOrderedSet<Inner>
   {
     std::vector<Key> scratch;
     const std::size_t n = inner_.range_scan(enc(lo), enc(hi), limit, scratch);
@@ -180,9 +178,9 @@ class EncodedOrderedSet {
 
 /// Key-typed view of an EncodedOrderedSet: ordinal x in [0, u) stands
 /// for the typed key Codec::from_ordinal(x). Models the same concept
-/// set as the inner structure (OrderedSet, Sized, Traversable,
-/// AtomicScan, MemoryReporting, Sharded — each surface appears exactly
-/// when Inner has it), so the harness's make_set/prefill/run_bench and
+/// set as the inner structure (OrderedSet, Sized, AtomicScan,
+/// MemoryReporting, Sharded — each refinement appears exactly when
+/// Inner has it), so the harness's make_set/prefill/run_bench and
 /// the stress runner drive it like any native structure while every op
 /// exercises the full codec path.
 template <EncodableKey K, OrderedSet Inner>
@@ -214,7 +212,6 @@ class KeyspaceView {
   }
 
   Key successor(Key y)
-    requires TraversableOrderedSet<Inner>
   {
     assert(y >= -1 && y < u_);
     const auto s = y < 0 ? set_.first() : set_.successor(typed(y));
@@ -223,7 +220,6 @@ class KeyspaceView {
 
   std::size_t range_scan(Key lo, Key hi, std::size_t limit,
                          std::vector<Key>& out)
-    requires TraversableOrderedSet<Inner>
   {
     assert(lo >= 0 && lo < u_ && hi >= lo);
     std::vector<K> typed_out;

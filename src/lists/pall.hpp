@@ -115,10 +115,6 @@ class PAll {
     return n;
   }
 
-  static bool is_removed(const PredecessorNode* n) {
-    return marked(n->pall_next.load());
-  }
-
  private:
   /// Physically unlink marked nodes on the path to `target` (and any other
   /// marked nodes encountered). Best effort: a failed CAS just leaves the

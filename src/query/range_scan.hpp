@@ -1,7 +1,7 @@
 // Generic ordered-traversal helpers shared by the query subsystem.
 //
-// The repository-wide range-scan contract (modelled as a member on every
-// traversable structure and checked by TraversableOrderedSet):
+// The repository-wide range-scan contract (a member of every library
+// structure; see shard/ordered_set.hpp for why OrderedSet omits it):
 //
 //   std::size_t range_scan(Key lo, Key hi, std::size_t limit,
 //                          std::vector<Key>& out);
@@ -34,8 +34,7 @@
 //    report, and why both insert AND delete epochs are required) is in
 //    docs/DESIGN.md, "Atomic scans".
 //
-// Structures with snapshot reads (VersionedTrie and its SnapshotView)
-// and the lock-holding LockedStdSet are atomic by construction: their
+// The lock-holding LockedStdSet is atomic by construction: its
 // range_scan_validated never retries and always reports atomic == true.
 #pragma once
 
@@ -67,8 +66,7 @@ struct ScanResult {
 /// Default bound on discarded walks before range_scan_validated keeps a
 /// per-step walk and reports atomic == false. Small on purpose: each
 /// retry re-walks the window, and a workload hot enough to invalidate
-/// eight walks in a row is one where the caller should prefer the
-/// SnapshotView mode anyway.
+/// eight walks in a row gains little from a ninth.
 inline constexpr uint32_t kDefaultScanRetries = 8;
 
 /// Anything with a successor query over Key (the traversal half of the

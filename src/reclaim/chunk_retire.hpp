@@ -82,19 +82,6 @@ class ChunkStore {
     ebr::retire(c, [](void* p) { push(static_cast<Chunk*>(p)); });
   }
 
-  /// Chunks currently parked on the free lists (approximate; for tests).
-  static std::size_t free_count() noexcept {
-    std::size_t n = 0;
-    ebr::Guard g;
-    for (int b = 0; b < kBuckets; ++b) {
-      for (Chunk* c = head_of(b).load(std::memory_order_acquire); c != nullptr;
-           c = c->next.load(std::memory_order_relaxed)) {
-        ++n;
-      }
-    }
-    return n;
-  }
-
  private:
   // Bucket b holds payloads in [2^b, 2^(b+1)); 48 buckets cover any
   // realistic allocation (256 TiB).

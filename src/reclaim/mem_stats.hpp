@@ -34,19 +34,18 @@ enum class MemClass : int {
   kUpdateNode = 2,
   kAnnCell = 3,
   kArenaChunk = 4,
-  kVersionNode = 5,
   // Service-facade batch buffers (serve/batch.hpp): slot rings + the
   // coalescing key table, reserved once per BatchBuffer at construction.
   // The E16 buffer-reuse test asserts this gauge is FLAT across flushes —
   // a drain must never allocate.
-  kBatchSlot = 6,
+  kBatchSlot = 5,
 };
 
-inline constexpr int kNumMemClasses = 7;
+inline constexpr int kNumMemClasses = 6;
 
 inline constexpr const char* kMemClassNames[kNumMemClasses] = {
-    "query_node",  "notify_node",  "update_node", "ann_cell",
-    "arena_chunk", "version_node", "batch_slot"};
+    "query_node", "notify_node", "update_node",
+    "ann_cell",   "arena_chunk", "batch_slot"};
 
 class MemStats {
  public:

@@ -113,8 +113,6 @@ class RelaxedBinaryTrie {
     return n;
   }
 
-  /// Test hook: the interpreted bit of trie node `t` (heap index).
-  bool interpreted_bit_for_test(uint64_t t) { return core_.interpreted_bit(t); }
   TrieCore& core_for_test() noexcept { return core_; }
 
   std::size_t memory_reserved() const noexcept { return arena_.bytes_reserved(); }

@@ -238,12 +238,7 @@ class BatchBuffer {
       case OpKind::kPredecessor:
         return set_->predecessor(op.key);
       case OpKind::kSuccessor:
-        if constexpr (TraversableOrderedSet<Set>) {
-          return set_->successor(op.key);
-        } else {
-          assert(!"successor submitted against a non-traversable set");
-          return kNoKey;
-        }
+        return set_->successor(op.key);
       case OpKind::kRangeScan:
         break;  // rejected at submit
     }

@@ -77,14 +77,6 @@ class NodeArena {
     return ::new (allocate(sizeof(T), alignof(T))) T(static_cast<Args&&>(args)...);
   }
 
-  /// Allocates an array of default-constructed Ts.
-  template <class T>
-  T* create_array(std::size_t n) {
-    T* p = static_cast<T*>(allocate(sizeof(T) * n, alignof(T)));
-    for (std::size_t i = 0; i < n; ++i) ::new (p + i) T();
-    return p;
-  }
-
   /// Total bytes handed out to chunks (for the space accounting tests).
   std::size_t bytes_reserved() const noexcept {
     return bytes_reserved_.load(std::memory_order_relaxed);

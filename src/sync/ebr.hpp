@@ -5,8 +5,8 @@
 // the epoch at retirement and freed once every in-critical-section thread
 // has observed a later epoch (two epoch advances = grace period).
 //
-// Used by the versioned and compressed tries to run with bounded
-// memory, and by the trie's recycling pools: query, notify and INS/DEL update nodes
+// Used by the compressed trie to run with bounded memory, and by the
+// trie's recycling pools: query, notify and INS/DEL update nodes
 // (lists/pall.hpp, core/trie_pools.hpp) rejoin their free lists only
 // after a grace period, announcement cells (lists/announce_list.hpp)
 // after two chained ones, and every trie operation holds a Guard.

@@ -112,6 +112,9 @@ class SortedSet {
  public:
   void clear() noexcept { v_.clear(); }
   std::size_t size() const noexcept { return v_.size(); }
+  bool empty() const noexcept { return v_.empty(); }
+  const T* begin() const noexcept { return v_.begin(); }
+  const T* end() const noexcept { return v_.end(); }
 
   bool contains(const T& x) const noexcept {
     const T* it = std::lower_bound(v_.begin(), v_.end(), x, std::less<T>());
@@ -119,9 +122,7 @@ class SortedSet {
   }
 
   /// Inserts `x` unless present; returns true iff it was inserted (i.e.
-  /// this is the first occurrence — callers use the result as the
-  /// "push_unique" admission test while keeping encounter order in a
-  /// separate SmallVec).
+  /// this is the first occurrence — the "push_unique" admission test).
   bool insert(const T& x) {
     T* const b = v_.begin();
     T* const it = std::lower_bound(b, v_.end(), x, std::less<T>());
@@ -150,31 +151,26 @@ struct UallBufs {
   }
 };
 
-/// Per-direction collections of one fused query invocation.
+/// Per-direction collections of one fused query invocation. Their
+/// readers take extrema, test membership or build further sets, so each
+/// is one sorted set in pointer order; the sets also dedup (one update
+/// node may be notified by several helpers).
 struct DirScratch {
-  // Position-list walk results. i_pos is only ever probed for membership
-  // (paper l.226's "already accounted for" test), so it has no vector.
-  SmallVec<UpdateNode*, 16> d_pos;
-  SortedSet<const UpdateNode*, 16> d_pos_set;
-  SortedSet<const UpdateNode*, 16> i_pos_set;
-  // Notify-list acceptance results; the seen-sets are the dedup guards
-  // (one update node may be notified by several helpers).
-  SmallVec<UpdateNode*, 16> i_notify;
-  SmallVec<UpdateNode*, 16> d_notify;
-  SortedSet<const UpdateNode*, 16> i_notify_seen;
-  SortedSet<const UpdateNode*, 16> d_notify_seen;
+  // Position-list walk results.
+  SortedSet<const UpdateNode*, 16> d_pos;
+  SortedSet<const UpdateNode*, 16> i_pos;
+  // Notify-list acceptance results.
+  SortedSet<const UpdateNode*, 16> i_notify;
+  SortedSet<const UpdateNode*, 16> d_notify;
   // The directional U-ALL collection (below the key for predecessor,
   // above it for successor).
   UallBufs uall;
 
   void clear() noexcept {
     d_pos.clear();
-    d_pos_set.clear();
-    i_pos_set.clear();
+    i_pos.clear();
     i_notify.clear();
     d_notify.clear();
-    i_notify_seen.clear();
-    d_notify_seen.clear();
     uall.clear();
   }
 };

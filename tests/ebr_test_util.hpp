@@ -1,8 +1,8 @@
 // Test-side EBR teardown: a gtest global environment that drains the EBR
 // limbo after the last test has run.
 //
-// The EBR-backed structures (the versioned and compressed tries, and
-// since the fused-query PR the trie's recycled query nodes) retire
+// The EBR-backed structures (the compressed trie and the trie's
+// recycled query nodes) retire
 // nodes into per-thread limbo lists that are swept lazily, every few
 // retirements. Whatever sits in limbo when the process exits was
 // historically reported by LeakSanitizer — the nodes are unlinked from

@@ -29,12 +29,6 @@ TEST(Arena, CreateConstructsObjects) {
   EXPECT_EQ(o->b, 2.5);
 }
 
-TEST(Arena, CreateArrayDefaultConstructs) {
-  NodeArena arena;
-  int* xs = arena.create_array<int>(1000);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(xs[i], 0);
-}
-
 TEST(Arena, ChunkGrowthCoversLargeAllocations) {
   NodeArena arena(/*chunk_bytes=*/128);
   // Allocation larger than the chunk size must still succeed.

@@ -1,28 +1,22 @@
 // Scan-torture layer for the atomic multi-key read surface:
-// epoch-validated scans (flat trie + ShardedTrie) and SnapshotView
-// read-transactions. Covers: quiet-window atomicity, seeded mid-scan
-// interference (deterministic retry and forced-fallback paths, with the
-// Stats retry counters), Wing–Gong stress with whole-scan events under
-// churn (including a split/merge churner in flight), the single-writer
-// oracle on scan windows, fault injection against a frozen splitter,
-// SnapshotView frozen-state semantics, and the type-erased facade's
-// validated-scan surface.
+// epoch-validated scans (flat trie + ShardedTrie). Covers: quiet-window
+// atomicity, seeded mid-scan interference (deterministic retry and
+// forced-fallback paths, with the Stats retry counters), Wing–Gong
+// stress with whole-scan events under churn (including a split/merge
+// churner in flight), the single-writer oracle on scan windows, and
+// fault injection against a frozen splitter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <iterator>
 #include <set>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
 #include "ebr_test_util.hpp"
 #include "query/range_scan.hpp"
 #include "set_test_util.hpp"
-#include "shard/ordered_set.hpp"
 #include "shard/sharded_trie.hpp"
 #include "stress_util.hpp"
 #include "verify/oracle.hpp"
@@ -368,155 +362,6 @@ TEST(AtomicScan, ScanConcurrentWithSplitterAndWritersStaysSound) {
   churner.join();
   writer.join();
   EXPECT_GT(atomic_seen, 0u) << "no scan ever validated under churn";
-}
-
-// ---- SnapshotView read-transactions ---------------------------------------
-
-TEST(AtomicScan, SnapshotViewFreezesTheAcquiredState) {
-  VersionedTrie t(128);
-  std::set<Key> ref;
-  for (Key k = 2; k < 128; k += 3) {
-    t.insert(k);
-    ref.insert(k);
-  }
-  SnapshotView v = t.snapshot();
-  ASSERT_TRUE(v.valid());
-  // Mutate the live structure heavily; the view must not move.
-  for (Key k = 0; k < 128; ++k) t.erase(k);
-  for (Key k = 1; k < 128; k += 2) t.insert(k);
-  EXPECT_EQ(v.size(), ref.size());
-  for (Key k = 0; k < 128; ++k) {
-    ASSERT_EQ(v.contains(k), ref.count(k) > 0) << "k=" << k;
-  }
-  EXPECT_EQ(v.predecessor(100), testutil::ref_predecessor(ref, 100));
-  EXPECT_EQ(v.successor(50), *ref.upper_bound(50));
-  EXPECT_EQ(v.rank(64),
-            static_cast<std::size_t>(std::distance(
-                ref.begin(), ref.lower_bound(64))));
-  EXPECT_EQ(v.select(3), *std::next(ref.begin(), 3));
-  // Repeated scans of one view are identical, and atomic by construction.
-  std::vector<Key> a;
-  std::vector<Key> b;
-  const ScanResult ra = v.range_scan_validated(10, 120, kNoScanLimit, a);
-  const ScanResult rb = v.range_scan_validated(10, 120, kNoScanLimit, b);
-  EXPECT_TRUE(ra.atomic);
-  EXPECT_TRUE(rb.atomic);
-  EXPECT_EQ(ra.retries, 0u);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, ref_window(ref, 10, 120));
-  v.release();
-  EXPECT_FALSE(v.valid());
-}
-
-TEST(AtomicScan, SnapshotViewOfEmptyAndMovedFrom) {
-  VersionedTrie t(64);
-  SnapshotView v = t.snapshot();
-  EXPECT_TRUE(v.empty());
-  EXPECT_EQ(v.predecessor(64), kNoKey);
-  EXPECT_EQ(v.successor(-1), kNoKey);
-  std::vector<Key> out;
-  EXPECT_EQ(v.range_scan(0, 63, kNoScanLimit, out), 0u);
-  // Move transfers the pin; the source goes invalid, the target works.
-  t.insert(7);
-  SnapshotView w = t.snapshot();
-  SnapshotView moved = std::move(w);
-  EXPECT_TRUE(moved.valid());
-  EXPECT_TRUE(moved.contains(7));
-}
-
-TEST(AtomicScan, SnapshotViewOracleDifferentialUnderWriter) {
-  // Single writer mutates; readers take O(1) snapshots bracketed by
-  // clock ticks and later scan the frozen view. The scanned window must
-  // match some state version live in the acquisition interval — the
-  // read-transaction linearizes at its root read.
-  VersionedTrie t(48);
-  SingleWriterOracle oracle;
-  HistoryClock clock;
-  constexpr int kReaders = 3;
-  std::vector<std::vector<SingleWriterOracle::Query>> logs(kReaders);
-  std::vector<std::thread> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      Xoshiro256 rng(501 + static_cast<uint64_t>(r));
-      for (int i = 0; i < 400; ++i) {
-        SingleWriterOracle::Query q;
-        q.kind = OpKind::kRangeScan;
-        q.y = static_cast<Key>(rng.bounded(40));
-        q.hi = std::min<Key>(q.y + 1 + static_cast<Key>(rng.bounded(12)), 47);
-        q.limit = 48;
-        q.t1 = clock.tick();
-        SnapshotView v = t.snapshot();
-        q.t2 = clock.tick();
-        std::vector<Key> out;
-        q.answer = static_cast<Key>(
-            v.range_scan(q.y, q.hi, q.limit, out));
-        v.release();
-        for (const Key k : out) q.mask |= uint64_t{1} << k;
-        logs[r].push_back(q);
-      }
-    });
-  }
-  Xoshiro256 rng(500);
-  for (int i = 0; i < 1200; ++i) {
-    const Key k = static_cast<Key>(rng.bounded(48));
-    oracle.writer_apply(t, rng.bounded(2) ? OpKind::kInsert : OpKind::kErase,
-                        k, clock);
-  }
-  for (auto& th : readers) th.join();
-  for (int r = 0; r < kReaders; ++r) {
-    ASSERT_EQ(oracle.validate(logs[r]), -1) << "reader " << r;
-  }
-}
-
-// ---- Type-erased facade ----------------------------------------------------
-
-// Traversable but with no validated surface: the erased call must take
-// the honest per-step fallback.
-struct PerStepOnlySet {
-  std::set<Key> s;
-  void insert(Key k) { s.insert(k); }
-  void erase(Key k) { s.erase(k); }
-  bool contains(Key k) { return s.count(k) > 0; }
-  Key predecessor(Key y) { return testutil::ref_predecessor(s, y); }
-  Key successor(Key y) {
-    auto it = s.upper_bound(y);
-    return it == s.end() ? kNoKey : *it;
-  }
-  std::size_t range_scan(Key lo, Key hi, std::size_t limit,
-                         std::vector<Key>& out) {
-    std::size_t n = 0;
-    for (auto it = s.lower_bound(lo); it != s.end() && *it <= hi; ++it) {
-      if (n >= limit) break;
-      out.push_back(*it);
-      ++n;
-    }
-    return n;
-  }
-};
-static_assert(TraversableOrderedSet<PerStepOnlySet>);
-static_assert(!AtomicScanOrderedSet<PerStepOnlySet>);
-
-TEST(AtomicScan, ErasedFacadeDelegatesOrDegradesHonestly) {
-  LockFreeBinaryTrie trie(64);
-  trie.insert(5);
-  trie.insert(9);
-  AnyOrderedSet a(trie);
-  EXPECT_TRUE(a.supports_atomic_scan());
-  std::vector<Key> out;
-  const ScanResult r = a.range_scan_validated(0, 63, kNoScanLimit, out);
-  EXPECT_TRUE(r.atomic);
-  EXPECT_EQ(out, (std::vector<Key>{5, 9}));
-
-  PerStepOnlySet plain;
-  plain.insert(5);
-  plain.insert(9);
-  AnyOrderedSet b(plain);
-  EXPECT_FALSE(b.supports_atomic_scan());
-  out.clear();
-  const ScanResult rb = b.range_scan_validated(0, 63, kNoScanLimit, out);
-  EXPECT_FALSE(rb.atomic);  // per-step fallback makes no atomicity claim
-  EXPECT_EQ(rb.n, 2u);
-  EXPECT_EQ(out, (std::vector<Key>{5, 9}));
 }
 
 }  // namespace

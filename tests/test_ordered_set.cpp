@@ -1,23 +1,24 @@
 // The OrderedSet façade: every shipped structure models the concept, and
-// the type-erased adapter drives heterogeneous structures through one
-// code path with identical results.
+// one templated driver runs the same script on each of them with
+// identical results.
 #include "shard/ordered_set.hpp"
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
 #include <vector>
 
+#include "baselines/locked_map.hpp"
 #include "baselines/seq_binary_trie.hpp"
-#include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
+#include "ebr_test_util.hpp"
 #include "keys/compressed_trie.hpp"
+#include "keys/encoded_set.hpp"
 #include "query/mirrored_trie.hpp"
 #include "relaxed/relaxed_trie.hpp"
-#include "set_test_util.hpp"
 #include "shard/sharded_trie.hpp"
 #include "sync/random.hpp"
-#include "ebr_test_util.hpp"
+#include "workload/workload.hpp"
 
 namespace lfbt {
 namespace {
@@ -27,7 +28,8 @@ static_assert(OrderedSet<LockFreeBinaryTrie>);
 static_assert(OrderedSet<RelaxedBinaryTrie>);
 static_assert(OrderedSet<ShardedTrie>);
 static_assert(OrderedSet<SeqBinaryTrie>);
-static_assert(OrderedSet<VersionedTrie>);
+static_assert(OrderedSet<LockedStdSet>);
+static_assert(OrderedSet<CompressedBitTrie>);
 
 // The sized refinement: structures with a cardinality API.
 static_assert(SizedOrderedSet<LockFreeBinaryTrie>);
@@ -36,184 +38,89 @@ static_assert(SizedOrderedSet<SeqBinaryTrie>);
 // Structures without size() must NOT accidentally satisfy the refinement.
 static_assert(!SizedOrderedSet<RelaxedBinaryTrie>);
 
-// Sharded refinement: only genuinely partitioned structures qualify. The
-// compressed trie's (universe, compress_paths) constructor must NOT
-// match — otherwise the harness would pass cfg.shards as its flag.
+// Sharded refinement: only genuinely partitioned structures qualify.
 static_assert(ShardedOrderedSet<ShardedTrie>);
 static_assert(!ShardedOrderedSet<CompressedBitTrie>);
 static_assert(!ShardedOrderedSet<LockFreeBinaryTrie>);
 
-// Traversal refinement (successor + range_scan): every shipped structure
-// models it — including the paper's trie itself, whose successor is now
-// native and symmetric (core/lockfree_trie.hpp). The successor-only
-// MirroredTrie oracle is deliberately not even an OrderedSet.
-static_assert(TraversableOrderedSet<LockFreeBinaryTrie>);
-static_assert(TraversableOrderedSet<ShardedTrie>);
-static_assert(TraversableOrderedSet<RelaxedBinaryTrie>);
-static_assert(TraversableOrderedSet<SeqBinaryTrie>);
-static_assert(TraversableOrderedSet<VersionedTrie>);
+// The successor-only MirroredTrie oracle is deliberately not an
+// OrderedSet.
 static_assert(!OrderedSet<MirroredTrie>);
 
-TEST(OrderedSetFacade, AdapterMatchesDirectCalls) {
-  LockFreeBinaryTrie direct(64);
-  LockFreeBinaryTrie wrapped_impl(64);
-  AnyOrderedSet wrapped(wrapped_impl);
-  Xoshiro256 rng(5);
-  for (int i = 0; i < 5000; ++i) {
-    Key k = static_cast<Key>(rng.bounded(64));
-    switch (rng.bounded(4)) {
-      case 0:
-        direct.insert(k);
-        wrapped.insert(k);
-        break;
-      case 1:
-        direct.erase(k);
-        wrapped.erase(k);
-        break;
-      case 2:
-        ASSERT_EQ(direct.contains(k), wrapped.contains(k)) << "i=" << i;
-        break;
-      default:
-        ASSERT_EQ(direct.predecessor(k + 1), wrapped.predecessor(k + 1))
-            << "i=" << i;
-    }
+// One seeded script over all six op kinds.
+std::vector<Op> make_script(Key u, int n, uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<Op> script;
+  for (int i = 0; i < n; ++i) {
+    const Key k = static_cast<Key>(rng.bounded(static_cast<uint64_t>(u)));
+    const auto kind = static_cast<OpKind>(rng.bounded(6));
+    script.push_back({kind, k, std::min<Key>(k + 20, u - 1), 8});
   }
+  return script;
 }
 
-TEST(OrderedSetFacade, AdapterErasesTraversal) {
-  // Traversal calls through the erased handle match direct calls, and
-  // supports_traversal() reports the wrapped structure's real surface.
-  ShardedTrie direct(128, 8);
-  ShardedTrie wrapped_impl(128, 8);
-  AnyOrderedSet wrapped(wrapped_impl);
-  EXPECT_TRUE(wrapped.supports_traversal());
-  // The core trie's successor is native now, so even the "bare" paper
-  // structure reports the full surface; the successor-only MirroredTrie
-  // oracle is the remaining partial-surface citizen (and is not an
-  // OrderedSet, so it cannot even be wrapped — see the static_asserts).
-  LockFreeBinaryTrie bare(128);
-  EXPECT_TRUE(AnyOrderedSet(bare).supports_traversal());
-
-  Xoshiro256 rng(23);
-  std::vector<Key> a, b;
-  for (int i = 0; i < 4000; ++i) {
-    Key k = static_cast<Key>(rng.bounded(128));
-    switch (rng.bounded(4)) {
-      case 0:
-        direct.insert(k);
-        wrapped.insert(k);
+/// Runs the script on `s` and returns every answer it observed, in order:
+/// contains as 0/1, predecessor(k + 1), successor(k - 1), and for a range
+/// scan its count followed by its keys. Updates answer nothing.
+template <OrderedSet S>
+std::vector<Key> answers(S& s, const std::vector<Op>& script) {
+  std::vector<Key> out;
+  std::vector<Key> scan;
+  for (const Op& op : script) {
+    switch (op.kind) {
+      case OpKind::kInsert:
+        s.insert(op.key);
         break;
-      case 1:
-        direct.erase(k);
-        wrapped.erase(k);
+      case OpKind::kErase:
+        s.erase(op.key);
         break;
-      case 2:
-        ASSERT_EQ(direct.successor(k - 1), wrapped.successor(k - 1))
-            << "i=" << i;
+      case OpKind::kContains:
+        out.push_back(s.contains(op.key) ? 1 : 0);
         break;
-      default:
-        a.clear();
-        b.clear();
-        direct.range_scan(k, k + 40, 16, a);
-        wrapped.range_scan(k, k + 40, 16, b);
-        ASSERT_EQ(a, b) << "i=" << i;
+      case OpKind::kPredecessor:
+        out.push_back(s.predecessor(op.key + 1));
+        break;
+      case OpKind::kSuccessor:
+        out.push_back(s.successor(op.key - 1));
+        break;
+      case OpKind::kRangeScan:
+        scan.clear();
+        out.push_back(static_cast<Key>(s.range_scan(op.key, op.hi, op.limit, scan)));
+        out.insert(out.end(), scan.begin(), scan.end());
+        break;
     }
   }
+  return out;
 }
 
-TEST(OrderedSetFacade, HeterogeneousStructuresOneDriver) {
-  // One deterministic script against four different implementations via
-  // the same erased handle; all must agree with the std::set oracle.
-  LockFreeBinaryTrie a(128);
-  ShardedTrie b(128, 8);
-  RelaxedBinaryTrie c(128);
-  SeqBinaryTrie d(128);
-  std::vector<AnyOrderedSet> sets;
-  sets.emplace_back(a);
-  sets.emplace_back(b);
-  sets.emplace_back(c);
-  sets.emplace_back(d);
+TEST(OrderedSetFacade, EveryStructureAnswersOneScriptIdentically) {
+  // Every structure runs the same script single-threaded (so the relaxed
+  // trie is quiescent and exact) and must give the std::set baseline's
+  // answers, answer for answer.
+  constexpr Key kU = 128;
+  const std::vector<Op> script = make_script(kU, 6000, 29);
+  LockedStdSet ref(kU);
+  const std::vector<Key> want = answers(ref, script);
 
-  std::set<Key> ref;
-  Xoshiro256 rng(17);
-  for (int i = 0; i < 4000; ++i) {
-    Key k = static_cast<Key>(rng.bounded(128));
-    switch (rng.bounded(4)) {
-      case 0:
-        ref.insert(k);
-        for (auto& s : sets) s.insert(k);
-        break;
-      case 1:
-        ref.erase(k);
-        for (auto& s : sets) s.erase(k);
-        break;
-      case 2:
-        for (auto& s : sets) {
-          ASSERT_EQ(s.contains(k), ref.count(k) > 0) << "i=" << i;
-        }
-        break;
-      default:
-        for (auto& s : sets) {
-          ASSERT_EQ(s.predecessor(k + 1), testutil::ref_predecessor(ref, k + 1))
-              << "i=" << i;
-        }
-    }
-  }
-}
-
-TEST(OrderedSetFacade, HeterogeneousTraversalOneDriver) {
-  // The traversable tries behind one erased handle, driven through the
-  // full six-op surface against std::set.
-  LockFreeBinaryTrie a(128);
-  ShardedTrie b(128, 8);
-  RelaxedBinaryTrie c(128);
-  SeqBinaryTrie d(128);
-  VersionedTrie e(128);
-  std::vector<AnyOrderedSet> sets;
-  sets.emplace_back(a);
-  sets.emplace_back(b);
-  sets.emplace_back(c);
-  sets.emplace_back(d);
-  sets.emplace_back(e);
-  for (auto& s : sets) ASSERT_TRUE(s.supports_traversal());
-
-  std::set<Key> ref;
-  Xoshiro256 rng(29);
-  std::vector<Key> got;
-  for (int i = 0; i < 3000; ++i) {
-    Key k = static_cast<Key>(rng.bounded(128));
-    switch (rng.bounded(4)) {
-      case 0:
-        ref.insert(k);
-        for (auto& s : sets) s.insert(k);
-        break;
-      case 1:
-        ref.erase(k);
-        for (auto& s : sets) s.erase(k);
-        break;
-      case 2: {
-        auto it = ref.upper_bound(k - 1);
-        const Key want = it == ref.end() ? kNoKey : *it;
-        for (auto& s : sets) {
-          ASSERT_EQ(s.successor(k - 1), want) << "i=" << i;
-        }
-        break;
-      }
-      default: {
-        const Key hi = std::min<Key>(k + 20, 127);
-        std::vector<Key> want;
-        for (auto it = ref.lower_bound(k);
-             it != ref.end() && *it <= hi && want.size() < 8; ++it) {
-          want.push_back(*it);
-        }
-        for (auto& s : sets) {
-          got.clear();
-          s.range_scan(k, hi, 8, got);
-          ASSERT_EQ(got, want) << "i=" << i << " lo=" << k << " hi=" << hi;
-        }
-      }
-    }
-  }
+  auto check = [&](auto& s, const char* name) {
+    const std::vector<Key> got = answers(s, script);
+    ASSERT_EQ(got.size(), want.size()) << name;
+    const auto diverge = std::mismatch(got.begin(), got.end(), want.begin());
+    EXPECT_TRUE(diverge.first == got.end())
+        << name << " diverges at answer " << (diverge.first - got.begin());
+  };
+  LockFreeBinaryTrie flat(kU);
+  check(flat, "LockFreeBinaryTrie");
+  ShardedTrie sharded(kU, 8);
+  check(sharded, "ShardedTrie");
+  SeqBinaryTrie seq(kU);
+  check(seq, "SeqBinaryTrie");
+  CompressedBitTrie compressed(kU);
+  check(compressed, "CompressedBitTrie");
+  keys::KeyspaceView<uint64_t, LockFreeBinaryTrie> encoded(kU);
+  check(encoded, "KeyspaceView<uint64_t, LockFreeBinaryTrie>");
+  RelaxedBinaryTrie relaxed(kU);
+  check(relaxed, "RelaxedBinaryTrie");
 }
 
 }  // namespace

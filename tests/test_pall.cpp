@@ -39,7 +39,7 @@ TEST(PAll, RemoveHidesFromLiveTraversal) {
   pall.push(c);
   pall.remove(b);
   EXPECT_EQ(live_keys(pall), (std::vector<Key>{3, 1}));
-  EXPECT_TRUE(PAll::is_removed(b));
+  EXPECT_TRUE(PAll::marked(b->pall_next.load()));
   pall.remove(c);
   pall.remove(a);
   EXPECT_TRUE(live_keys(pall).empty());

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "baselines/seq_binary_trie.hpp"
-#include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
 #include "ebr_test_util.hpp"
 #include "query/range_scan.hpp"
@@ -73,11 +72,6 @@ TEST(RangeScan, SeqBinaryTrie) {
   range_scan_differential(t, 1 << 9, 8000, 301);
 }
 
-TEST(RangeScan, VersionedTrie) {
-  VersionedTrie s(1 << 8);
-  range_scan_differential(s, 1 << 8, 6000, 307);
-}
-
 TEST(RangeScan, RelaxedTrie) {
   RelaxedBinaryTrie s(1 << 8);
   range_scan_differential(s, 1 << 8, 6000, 308);
@@ -95,13 +89,6 @@ TEST(RangeScan, ShardedTrie) {
   range_scan_differential(b, 100, 8000, 311);
   ShardedTrie c(32, 32);  // width-1 shards
   range_scan_differential(c, 32, 8000, 312);
-}
-
-TEST(RangeScan, ThroughTypeErasedAdapter) {
-  ShardedTrie impl(1 << 8, 8);
-  AnyOrderedSet s(impl);
-  ASSERT_TRUE(s.supports_traversal());
-  range_scan_differential(s, 1 << 8, 6000, 313);
 }
 
 TEST(RangeScan, EdgeCases) {

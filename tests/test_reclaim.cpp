@@ -11,7 +11,6 @@
 #include <set>
 #include <vector>
 
-#include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
 #include "ebr_test_util.hpp"
 #include "reclaim/chunk_retire.hpp"
@@ -227,86 +226,6 @@ TEST(Reclaim, ChurnSoakSmokeTailIsFlat) {
       expect_soak_tail_flat(t, cfg);
     }
   }
-}
-
-TEST(Reclaim, SnapshotReleaseUnpinsVersionNodes) {
-  // Version-node lifecycle across whole VersionedTrie lifetimes WITH
-  // SnapshotViews held mid-churn: every node acquired from the pool must
-  // be handed back (balanced counters), and a second identical lifetime
-  // must be served from recycling, not fresh slabs — i.e. releasing the
-  // views really does unpin their versions for reclamation.
-  const MemStats::ClassSnapshot before =
-      MemStats::snapshot(MemClass::kVersionNode);
-  auto churn_with_snapshots = [] {
-    VersionedTrie t(1 << 8);
-    Xoshiro256 rng(777);  // same seed: identical per-lifetime demand
-    std::vector<SnapshotView> held;
-    for (int i = 0; i < 3000; ++i) {
-      const Key k = static_cast<Key>(rng.bounded(1 << 8));
-      if (rng.bounded(2)) {
-        t.insert(k);
-      } else {
-        t.erase(k);
-      }
-      if (i % 128 == 0) held.push_back(t.snapshot());
-    }
-    std::vector<Key> out;
-    for (SnapshotView& v : held) {
-      out.clear();
-      v.range_scan(0, 255, kNoScanLimit, out);  // frozen versions readable
-      v.release();
-    }
-  };
-
-  churn_with_snapshots();  // warm-up: carves the high-water mark
-  ebr::drain_unsafe();     // legal: single thread, no guard live
-  const MemStats::ClassSnapshot warm =
-      MemStats::snapshot(MemClass::kVersionNode);
-  EXPECT_EQ(warm.acquired - before.acquired, warm.released - before.released)
-      << "version nodes acquired but never retired";
-
-  churn_with_snapshots();
-  ebr::drain_unsafe();
-  const MemStats::ClassSnapshot after =
-      MemStats::snapshot(MemClass::kVersionNode);
-  EXPECT_EQ(after.acquired - warm.acquired, after.released - warm.released);
-  EXPECT_LE(after.bytes_reserved, warm.bytes_reserved + 256u * 1024u)
-      << "released snapshots did not return version nodes to the pool";
-}
-
-TEST(Reclaim, SnapshotLifetimeSoakStaysFlat) {
-  // The churn-soak flatness gate over snapshot churn: the soak disturbance takes,
-  // scans and releases a burst of SnapshotViews concurrently with every
-  // update window. Holding a view pins the epoch and stalls reclamation —
-  // the property under test is that RELEASING it lets the tail stay flat
-  // instead of accreting one pinned version per view.
-  VersionedTrie t(1 << 8);
-  SoakConfig cfg;
-  cfg.threads = 2;
-  cfg.windows = 6;
-  cfg.ops_per_thread_per_window = 6000;
-  cfg.universe = 1 << 8;
-  cfg.mix = kUpdateHeavy;
-  cfg.disturbance = [&t](int) {
-    std::vector<Key> out;
-    for (int i = 0; i < 200; ++i) {
-      SnapshotView v = t.snapshot();
-      out.clear();
-      v.range_scan(0, 255, kNoScanLimit, out);
-      v.release();  // view is thread-affine: released on this thread
-    }
-    // Flush the released views' limbo backlog so the post-window
-    // sample sees the steady state, not in-flight grace periods (same
-    // discipline as the resharding churn soak).
-    ebr::synchronize();
-  };
-  const std::vector<SoakWindowSample> samples = churn_soak(t, cfg);
-  ASSERT_EQ(samples.size(), 6u);
-  for (const SoakWindowSample& s : samples) EXPECT_GT(s.ops, 0u);
-  EXPECT_TRUE(soak_tail_is_flat(samples))
-      << "snapshot churn leaked: pools "
-      << samples[samples.size() - 2].pool_bytes << " -> "
-      << samples.back().pool_bytes << " bytes";
 }
 
 }  // namespace

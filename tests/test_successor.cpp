@@ -1,5 +1,5 @@
-// Successor queries on the sequential reference, the relaxed, versioned,
-// core and sharded tries, checked against std::set. The core trie's
+// Successor queries on the sequential reference, the relaxed, core and
+// sharded tries, checked against std::set. The core trie's
 // successor is native and symmetric (core/lockfree_trie.hpp): the U-ALL
 // position / directional-notification machinery mirrors the paper's
 // predecessor proof inside one structure, so mixed pred+succ histories —
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "baselines/seq_binary_trie.hpp"
-#include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
 #include "ebr_test_util.hpp"
 #include "query/mirrored_trie.hpp"
@@ -70,11 +69,6 @@ TEST(Successor, RelaxedTrieSequentialIsExact) {
   successor_differential(
       t, [](auto& s, Key y) { return s.relaxed_successor(y); }, 1 << 10, 20000,
       202);
-}
-
-TEST(Successor, VersionedTrie) {
-  VersionedTrie s(1 << 9);
-  successor_differential(s, plain_succ, 1 << 9, 10000, 208);
 }
 
 TEST(Successor, EdgeCases) {

@@ -6,8 +6,8 @@
 
 #include "baselines/locked_map.hpp"
 #include "baselines/seq_binary_trie.hpp"
-#include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
+#include "keys/compressed_trie.hpp"
 #include "relaxed/relaxed_trie.hpp"
 #include "shard/sharded_trie.hpp"
 #include "workload/harness.hpp"
@@ -129,7 +129,7 @@ TEST(Harness, TraversalMixRunsAndCountsScans) {
   EXPECT_GT(res2.steps.scan_ops, 1000u);
 }
 
-template <TraversableOrderedSet Set>
+template <OrderedSet Set>
 void traversal_mix_smoke() {
   BenchConfig cfg;
   // Single-threaded: SeqBinaryTrie is in the sweep and is not a
@@ -147,17 +147,16 @@ void traversal_mix_smoke() {
   EXPECT_GT(res.steps.scan_ops, 0u);
 }
 
-TEST(Harness, TraversalMixAcrossEveryTraversableStructure) {
+TEST(Harness, TraversalMixAcrossEveryStructure) {
   // The acceptance bar for the query subsystem: the workload harness
-  // exercises successor AND range_scan against every traversable
-  // structure. Tiny op counts — this is a does-it-run-everywhere gate,
-  // not a benchmark.
+  // exercises successor AND range_scan against every structure. Tiny op
+  // counts — this is a does-it-run-everywhere gate, not a benchmark.
   traversal_mix_smoke<LockFreeBinaryTrie>();
   traversal_mix_smoke<ShardedTrie>();
   traversal_mix_smoke<RelaxedBinaryTrie>();
   traversal_mix_smoke<SeqBinaryTrie>();
-  traversal_mix_smoke<VersionedTrie>();
   traversal_mix_smoke<LockedStdSet>();
+  traversal_mix_smoke<CompressedBitTrie>();
 }
 
 TEST(Harness, PrefillRespectsExplicitCount) {
