@@ -15,9 +15,7 @@
 //   - the resharding churn soak (split/merge every window under churn)
 //     grows the memory footprint — the soak_tail_is_flat leak gate of
 //     Reclaim.ChurnSoakSmokeTailIsFlat extended to the control plane.
-// Rows go to BENCH_E14.json. A third, unchecked panel reports the load
-// observer chasing a flash-crowd hot spot (maybe_split under a moving
-// window) for the record.
+// Rows go to BENCH_E14.json.
 #include <thread>
 
 #include "bench_util.hpp"
@@ -140,53 +138,7 @@ bool hot_split_panel(int threads) {
   return ok;
 }
 
-/// Panel 2 (reported, not gated): the load observer chasing a flash
-/// crowd — a hot window that jumps mid-run, with maybe_split() polled
-/// from a maintenance thread.
-void flash_crowd_panel(int threads) {
-  bench::header("E14b: load observer vs a flash crowd",
-                "maybe_split() follows a jumping hot window; reported for "
-                "the record (a moving crowd can outrun any splitter)");
-
-  BenchConfig cfg;
-  cfg.threads = threads;
-  cfg.ops_per_thread = bench::scaled(400000);
-  cfg.universe = Key{1} << 20;
-  cfg.mix = kUpdateHeavy;
-  cfg.shards = 4;
-  cfg.flash_width = Key{1} << 15;
-  cfg.flash_period = uint64_t{1} << 16;
-
-  ShardedTrie t(cfg.universe, 4);
-  prefill(t, cfg);
-
-  std::atomic<bool> stop{false};
-  ShardedTrie::SplitPolicy pol;
-  pol.min_ops = uint64_t{1} << 14;
-  std::thread observer([&] {
-    while (!stop.load()) {
-      t.maybe_split(pol);
-      std::this_thread::yield();
-    }
-  });
-  const BenchResult r = run_bench(t, cfg);
-  stop.store(true);
-  observer.join();
-
-  bench::row(bench::fmt(
-      "%d threads: %.3f Mops/s; observer published %llu splits "
-      "(%d shards at exit)",
-      threads, r.mops_per_sec,
-      static_cast<unsigned long long>(t.reshard_count()), t.shard_count()));
-  bench::row("");
-  g_json.add(bench::fmt(
-      "{\"panel\":\"flash-crowd\",\"threads\":%d,\"total_ops\":%llu,"
-      "\"mops_per_sec\":%.4f,\"reshards\":%llu,\"final_shards\":%d}",
-      threads, static_cast<unsigned long long>(r.total_ops), r.mops_per_sec,
-      static_cast<unsigned long long>(t.reshard_count()), t.shard_count()));
-}
-
-/// Panel 3: the resharding churn soak — split/merge cycles under client
+/// Panel 2: the resharding churn soak — split/merge cycles under client
 /// churn every window must not grow the footprint (gated).
 bool churn_soak_panel(int threads) {
   bench::header("E14c: split/merge churn soak (leak gate)",
@@ -246,7 +198,6 @@ int main() {
   if (threads <= 0) threads = 1;
 
   bool ok = hot_split_panel(threads);
-  flash_crowd_panel(threads);
   ok = churn_soak_panel(threads) && ok;
 
   if (!g_json.write("BENCH_E14.json")) return 1;

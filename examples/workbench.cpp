@@ -1,7 +1,7 @@
 // Workbench: run an ad-hoc workload against any shipped structure from
 // the command line.
 //
-//   workbench [--mem-stats] [--pin] [--batch <n>] [--rate <ops/s>]
+//   workbench [--mem-stats] [--pin] [--batch <n>]
 //             [structure] [threads] [ops_per_thread]
 //             [log2_universe] [insert%] [erase%] [contains%] [pred%]
 //             [zipf_theta] [shards] [succ%] [scan%] [scan_span]
@@ -11,14 +11,9 @@
 //                reserved bytes, live objects and the recycle rate.
 //   --pin:       pin worker t to the t-th CPU of the placement order
 //                (serve/pinning.hpp: distinct physical cores first).
-//   --batch <n>: run the SERVICE panel — ops flow through a per-thread
-//                BatchBuffer of capacity n (serve/batch.hpp) instead of
-//                direct calls. n == 1 is the direct baseline.
-//   --rate <r>:  offered load for the service panel, total ops/second
-//                across threads, Poisson arrivals (serve/open_loop.hpp).
-//                0 (the default) removes the rate cap: the generators run
-//                flat out and the panel reports batched-path saturation.
-//                --rate without --batch uses the default batch capacity.
+//   --batch <n>: ops flow through a per-thread BatchBuffer of capacity n
+//                (serve/batch.hpp) instead of direct calls, and the run
+//                reports its drains. n <= 1 (the default) is direct calls.
 //
 //   structure: lockfree-trie | sharded-trie | relaxed-trie | compressed |
 //              enc-u64-trie | enc-u64-compressed | enc-str-trie
@@ -31,14 +26,14 @@
 // trie (keys/compressed_trie.hpp).
 //
 // The six percentages must sum to 100; every structure serves all six op
-// kinds. The service panel converts range scans to predecessor queries
+// kinds. With --batch, range scans are submitted as predecessor queries
 // (the batch facade is a point-op front door).
 //
 // Examples:
 //   workbench lockfree-trie 8 100000 16 50 50 0 0
 //   workbench lockfree-trie 4 200000 16 20 20 0 0 0 0 30 30 64
 //   workbench sharded-trie 8 100000 20 50 50 0 0 0 16
-//   workbench --pin --batch 256 --rate 2000000 sharded-trie 8 100000 20 50 50 0 0
+//   workbench --pin --batch 256 sharded-trie 8 100000 20 50 50 0 0
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,16 +44,12 @@
 #include "keys/encoded_set.hpp"
 #include "reclaim/mem_stats.hpp"
 #include "relaxed/relaxed_trie.hpp"
-#include "serve/open_loop.hpp"
 #include "shard/sharded_trie.hpp"
 #include "workload/harness.hpp"
 
 namespace {
 
 bool g_mem_stats = false;
-// Service-panel knobs; the panel runs when either is set.
-long g_batch = 0;
-double g_rate = 0.0;
 
 void print_mem_stats() {
   const lfbt::MemStats::Snapshot snap = lfbt::Stats::memory();
@@ -79,60 +70,27 @@ void print_mem_stats() {
               double(snap.total_reserved()) / 1024.0);
 }
 
-/// Service panel: open-loop Poisson traffic through the batched front
-/// door, reporting achieved rate and sojourn (queue wait + drain) tails.
-template <class Set>
-int run_service(const lfbt::BenchConfig& cfg, const char* name) {
-  lfbt::serve::OpenLoopConfig scfg;
-  scfg.rate_ops_s = g_rate;
-  scfg.threads = cfg.threads;
-  scfg.ops_per_thread = cfg.ops_per_thread;
-  scfg.batch = g_batch > 0 ? static_cast<std::size_t>(g_batch)
-                           : lfbt::serve::kDefaultBatch;
-  scfg.pin = cfg.pin;
-  lfbt::Stats::reset();
-  auto set = lfbt::make_set<Set>(cfg);
-  lfbt::prefill(*set, cfg);
-  const auto res = lfbt::serve::run_open_loop(*set, cfg, scfg);
-  std::printf("structure        : %s (service panel)\n", name);
-  std::printf("threads          : %d%s\n", scfg.threads,
-              scfg.pin ? " (pinned)" : "");
-  std::printf("batch capacity   : %zu%s\n", scfg.batch,
-              scfg.batch <= 1 ? " (direct baseline)" : "");
-  if (g_rate > 0) {
-    std::printf("offered rate     : %.3f Mops/s\n", res.offered_mops);
-  } else {
-    std::printf("offered rate     : uncapped (saturation)\n");
-  }
-  std::printf("achieved rate    : %.3f Mops/s\n", res.achieved_mops);
-  std::printf("total ops        : %lu\n",
-              static_cast<unsigned long>(res.total_ops));
-  std::printf("sojourn p50      : %.1f us\n", res.sojourn_pct(0.50) / 1e3);
-  std::printf("sojourn p95      : %.1f us\n", res.sojourn_pct(0.95) / 1e3);
-  std::printf("sojourn p99      : %.1f us\n", res.sojourn_pct(0.99) / 1e3);
-  if (res.batch_flushes > 0) {
-    std::printf("drains           : %lu (%.1f ops/drain, %.1f%% coalesced)\n",
-                static_cast<unsigned long>(res.batch_flushes),
-                double(res.total_ops) / double(res.batch_flushes),
-                100.0 * double(res.batch_coalesced) / double(res.total_ops));
-  }
-  if (g_mem_stats) print_mem_stats();
-  return 0;
-}
-
 template <class Set>
 int run(const lfbt::BenchConfig& cfg, const char* name) {
-  if (g_batch > 0 || g_rate > 0) return run_service<Set>(cfg, name);
   lfbt::Stats::reset();
   auto res = lfbt::bench_fresh<Set>(cfg);
   std::printf("structure        : %s\n", name);
-  std::printf("threads          : %d\n", cfg.threads);
+  std::printf("threads          : %d%s\n", cfg.threads,
+              cfg.pin ? " (pinned)" : "");
   std::printf("universe         : %ld\n", static_cast<long>(cfg.universe));
   std::printf("mix              : %s\n", cfg.mix.name().c_str());
   std::printf("zipf theta       : %.2f\n", cfg.zipf_theta);
   std::printf("total ops        : %lu\n", static_cast<unsigned long>(res.total_ops));
   std::printf("elapsed          : %.3f s\n", res.elapsed_sec);
   std::printf("throughput       : %.3f Mops/s\n", res.mops_per_sec);
+  if (res.steps.batch_flushes > 0) {
+    std::printf("drains           : %lu of batch %zu (%.1f ops/drain, "
+                "%.1f%% coalesced)\n",
+                static_cast<unsigned long>(res.steps.batch_flushes), cfg.batch,
+                double(res.total_ops) / double(res.steps.batch_flushes),
+                100.0 * double(res.steps.batch_coalesced) /
+                    double(res.total_ops));
+  }
   if (res.steps.scan_ops > 0) {
     std::printf("range scans      : %lu (%.2f keys/scan, span %ld)\n",
                 static_cast<unsigned long>(res.steps.scan_ops),
@@ -161,6 +119,7 @@ int main(int argc, char** argv) {
   // Strip flags out of argv so the positional parse below stays simple;
   // flags may appear anywhere.
   bool pin = false;
+  long batch = 1;
   int n = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--mem-stats") == 0) {
@@ -168,9 +127,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--pin") == 0) {
       pin = true;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      g_batch = std::atol(argv[++i]);
-    } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
-      g_rate = std::atof(argv[++i]);
+      batch = std::atol(argv[++i]);
     } else {
       argv[n++] = argv[i];
     }
@@ -179,6 +136,7 @@ int main(int argc, char** argv) {
   std::string structure = argc > 1 ? argv[1] : "lockfree-trie";
   BenchConfig cfg;
   cfg.pin = pin;
+  cfg.batch = batch > 1 ? static_cast<std::size_t>(batch) : 1;
   cfg.threads = argc > 2 ? std::atoi(argv[2]) : 4;
   cfg.ops_per_thread = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 100000;
   cfg.universe = Key{1} << (argc > 4 ? std::atoi(argv[4]) : 16);

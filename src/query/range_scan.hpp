@@ -126,12 +126,12 @@ ScanResult retry_validated_scan(std::vector<Key>& out, uint32_t max_retries,
 /// The single-epoch validated scan: the successor walk above bracketed by
 /// reads of one monotone update-epoch counter (`epoch` is any callable
 /// returning it). An unchanged epoch across the walk means no update that
-/// overlapped the walk has RETURNED by the post-read — every such update
-/// is pairwise concurrent with the scan and with each other (a completed
-/// one would have bumped before returning), so a linearization exists
-/// that places the scan at a single state matching the report exactly.
-/// Used by LockFreeBinaryTrie (one counter per structure); ShardedTrie
-/// has its own multi-entry variant over the per-shard epoch pairs.
+/// overlapped the walk has RETURNED by the post-read (a completed one
+/// would have bumped before returning). That alone does not place the
+/// scan at a single state: a completed read can order two still-pending
+/// updates (docs/DESIGN.md "Atomic scans" has the schedule). Used by
+/// LockFreeBinaryTrie (one counter per structure); ShardedTrie has its
+/// own multi-entry variant over the per-shard epoch pairs.
 template <SuccessorQueryable S, class EpochFn>
 ScanResult epoch_validated_scan(S& set, EpochFn&& epoch, Key lo, Key hi,
                                 std::size_t limit, std::vector<Key>& out,

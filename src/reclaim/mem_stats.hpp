@@ -68,11 +68,6 @@ class MemStats {
       for (const auto& c : cls) t += c.bytes_reserved;
       return t;
     }
-    std::uint64_t total_recycled() const noexcept {
-      std::uint64_t t = 0;
-      for (const auto& c : cls) t += c.recycled;
-      return t;
-    }
   };
 
   static void add_reserved(MemClass c, std::size_t bytes) noexcept {

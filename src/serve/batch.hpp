@@ -1,7 +1,7 @@
 // Request-batching front door (src/serve/): per-thread op buffers that
 // drain into any OrderedSet in one EBR guard section, returning results
-// through lightweight futures — an async API over the core structures
-// that never touches their proofs.
+// through tickets — an async API over the core structures that never
+// touches their proofs.
 //
 // Why batch a lock-free structure at all? PR 4's fused-query work showed
 // the update path is dominated by shared announcement-list traffic (one
@@ -16,7 +16,7 @@
 //     reach the structure: within a query-free run of buffered updates,
 //     only the LAST update per key can affect any observable state, so
 //     the earlier ones complete without paying their announcement-list
-//     splices at all. Under skewed (Zipf/flash-crowd) write traffic this
+//     splices at all. Under skewed (Zipf/hot-range) write traffic this
 //     removes a large fraction of the shared-list work — E16 measures it.
 //
 // Linearization contract ("batched linearization", docs/DESIGN.md):
@@ -46,8 +46,8 @@
 // submitted; result() asserts on an expired ticket.
 #pragma once
 
+#include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -61,7 +61,7 @@ namespace lfbt::serve {
 inline constexpr std::size_t kDefaultBatch = 256;
 
 /// Handle for one buffered op: its position in the buffer's submission
-/// sequence. Resolve through the owning buffer (or a BatchFuture).
+/// sequence. Resolve through the owning buffer.
 struct OpTicket {
   uint64_t seq = 0;
 };
@@ -69,8 +69,6 @@ struct OpTicket {
 template <OrderedSet Set>
 class BatchBuffer {
  public:
-  using Clock = std::chrono::steady_clock;
-
   explicit BatchBuffer(Set& set, std::size_t capacity = kDefaultBatch)
       : set_(&set), capacity_(capacity < 1 ? 1 : capacity) {
     slots_.resize(capacity_);
@@ -93,7 +91,6 @@ class BatchBuffer {
   OpTicket submit(const Op& op) {
     assert(op.kind != OpKind::kRangeScan &&
            "scans are not batchable (vector results); call the set");
-    if (pending() == 0) first_pending_ = Clock::now();
     Slot& s = slots_[static_cast<std::size_t>(next_ % capacity_)];
     s.op = op;
     s.seq = next_;
@@ -149,17 +146,6 @@ class BatchBuffer {
     }
     drained_.store(hi, std::memory_order_release);
     Stats::count_batch_flush(hi - lo, coalesced);
-  }
-
-  /// Deadline valve for open-loop callers: drain iff the oldest pending
-  /// op has waited at least `max_linger`. Returns true when it drained —
-  /// bounds queue-wait sojourn at low offered rates, where a buffer
-  /// could otherwise linger below capacity indefinitely.
-  bool maybe_flush(Clock::duration max_linger,
-                   Clock::time_point now = Clock::now()) {
-    if (pending() == 0 || now - first_pending_ < max_linger) return false;
-    flush();
-    return true;
   }
 
   /// Ops buffered but not yet drained (owner-thread view).
@@ -256,24 +242,6 @@ class BatchBuffer {
   /// Drain watermark: every seq below it has its result published. The
   /// release store in flush() pairs with ready()'s acquire load.
   std::atomic<uint64_t> drained_{0};
-  Clock::time_point first_pending_{};
-};
-
-/// A ticket bound to its buffer — the lightweight future callers hold
-/// across a batch. Never blocks: the owner thread IS the drainer, so a
-/// blocking get() could only deadlock; value() asserts readiness instead
-/// (check ready() from foreign threads).
-template <OrderedSet Set>
-class BatchFuture {
- public:
-  BatchFuture(BatchBuffer<Set>& buf, OpTicket t) : buf_(&buf), ticket_(t) {}
-  bool ready() const { return buf_->ready(ticket_); }
-  int64_t value() const { return buf_->result(ticket_); }
-  OpTicket ticket() const { return ticket_; }
-
- private:
-  BatchBuffer<Set>* buf_;
-  OpTicket ticket_;
 };
 
 }  // namespace lfbt::serve

@@ -4,9 +4,9 @@
 // Closed-loop microbenches tolerate the scheduler bouncing workers across
 // cores; a serving stack does not — a migrated worker drags its arena
 // chunk cursors, scratch buffers and announcement-list cache lines to a
-// cold core and pays the refill on the next request. The E16 open-loop
-// bench, the workload harness (`BenchConfig::pin`), the stress harness
-// (`StressSpec::pin`) and `workbench --pin` all route through here.
+// cold core and pays the refill on the next request. The workload
+// harness (`BenchConfig::pin`, which E16 sets) and `workbench --pin`
+// route through here.
 //
 // The probe asks the OS which CPUs this thread may use (containers and
 // cgroup-restricted CI hosts often allow a strict subset of the machine),

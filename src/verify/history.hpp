@@ -33,11 +33,15 @@ struct RecordedOp {
   Key hi = 0;
   uint32_t limit = 0;
   uint64_t mask = 0;
+  /// Index of the recording thread, or -1 when not known (e.g. the
+  /// quiescent observations between stress rounds).
+  int thread = -1;
 };
 
 /// The evidence a failed check prints: one line per op in invocation
-/// order, "inv-res kind(key) -> answer". Scans also show their window,
-/// limit and reported key set.
+/// order, "inv-res tT kind(key) -> answer", where T is the recording
+/// thread ("-" when unknown). Scans also show their window, limit and
+/// reported key set.
 inline std::string describe(const std::vector<RecordedOp>& history) {
   static constexpr const char* kNames[] = {"insert", "erase", "contains",
                                            "predecessor", "successor",
@@ -47,7 +51,8 @@ inline std::string describe(const std::vector<RecordedOp>& history) {
             [](const RecordedOp& a, const RecordedOp& b) { return a.inv < b.inv; });
   std::ostringstream out;
   for (const RecordedOp& op : ops) {
-    out << op.inv << '-' << op.res << ' '
+    out << op.inv << '-' << op.res << " t"
+        << (op.thread >= 0 ? std::to_string(op.thread) : "-") << ' '
         << kNames[static_cast<int>(op.kind)] << '(' << op.key;
     if (op.kind == OpKind::kRangeScan) {
       out << ".." << op.hi << ", limit " << op.limit << ") -> " << op.ret

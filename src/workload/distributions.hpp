@@ -53,37 +53,6 @@ class ZipfDist final : public KeyDistribution {
   double eta_;
 };
 
-/// Flash crowd: uniform over a hot window whose base JUMPS to a new
-/// (hashed, deterministic) location every `period` samples — the moving
-/// hot spot that makes static shard geometry collapse and keeps a
-/// resharding policy honest (E14): by the time a range has been split,
-/// the crowd may already be elsewhere. Each OpStream owns its
-/// distribution instance, so the per-stream jump schedule is
-/// deterministic under a fixed seed, like every other generator here.
-class FlashCrowdDist final : public KeyDistribution {
- public:
-  FlashCrowdDist(Key range, Key width, uint64_t period)
-      : range_(range),
-        width_(width < 1 ? 1 : (width > range ? range : width)),
-        period_(period < 1 ? 1 : period) {}
-  Key sample(Xoshiro256& rng) override {
-    if (count_++ % period_ == 0) {
-      const uint64_t h = (count_ / period_ + 1) * 0x9e3779b97f4a7c15ull;
-      base_ = static_cast<Key>(
-          h % static_cast<uint64_t>(range_ - width_ + 1));
-    }
-    return base_ + static_cast<Key>(rng.bounded(static_cast<uint64_t>(width_)));
-  }
-  Key range() const override { return range_; }
-
- private:
-  Key range_;
-  Key width_;
-  uint64_t period_;
-  uint64_t count_ = 0;
-  Key base_ = 0;
-};
-
 /// Uniform over a window [base, base + width) of the universe.
 class ClusteredDist final : public KeyDistribution {
  public:

@@ -2,17 +2,23 @@
 // fixed per-thread operation count, measuring throughput, per-op latency
 // percentiles (sampled) and instrumentation counters. Op counts are fixed
 // (not time-targeted) so arena-backed structures run in bounded memory.
+// Closed loop: each worker issues its next op as soon as the previous
+// one returns, either by calling the set directly or through its own
+// serve::BatchBuffer (BenchConfig::batch).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "serve/batch.hpp"
 #include "serve/pinning.hpp"
 #include "shard/ordered_set.hpp"
 #include "sync/cacheline.hpp"
@@ -28,13 +34,7 @@ struct BenchConfig {
   OpMix mix = kBalanced;
   double zipf_theta = 0.0;     // 0 => uniform
   Key cluster_width = 0;     // >0 => clustered overrides zipf
-  // >0 => flash-crowd traffic (overrides cluster/zipf): a hot window of
-  // `flash_width` keys that jumps to a new location every
-  // `flash_period` samples per stream (see FlashCrowdDist).
-  Key flash_width = 0;
-  uint64_t flash_period = uint64_t{1} << 16;
-  double prefill_fraction = 0.5;  // fraction of universe... see prefill()
-  uint64_t prefill_keys = 0;      // explicit count; 0 => derive
+  uint64_t prefill_keys = 0;  // explicit count; 0 => derive (see prefill())
   uint64_t seed = 42;
   bool sample_latency = false;
   int latency_sample_every = 64;
@@ -50,6 +50,12 @@ struct BenchConfig {
   // distinct physical cores first). Best effort: if the platform refuses,
   // the worker runs unpinned.
   bool pin = false;
+  // Batch capacity. <= 1 calls the set directly; a larger value routes
+  // each worker's ops through its own serve::BatchBuffer of that
+  // capacity, range scans submitted as predecessors (the buffer takes
+  // point ops only). A sampled op's latency then runs from its submit to
+  // the drain that covers it.
+  std::size_t batch = 1;
 };
 
 struct BenchResult {
@@ -68,10 +74,6 @@ struct BenchResult {
 };
 
 inline std::unique_ptr<KeyDistribution> make_distribution(const BenchConfig& cfg) {
-  if (cfg.flash_width > 0) {
-    return std::make_unique<FlashCrowdDist>(cfg.universe, cfg.flash_width,
-                                            cfg.flash_period);
-  }
   if (cfg.cluster_width > 0) {
     return std::make_unique<ClusteredDist>(cfg.universe, cfg.cluster_width);
   }
@@ -101,13 +103,45 @@ void prefill(Set& set, const BenchConfig& cfg) {
     const uint64_t touched =
         cfg.cluster_width > 0 ? static_cast<uint64_t>(cfg.cluster_width)
                               : static_cast<uint64_t>(cfg.universe);
-    n = static_cast<uint64_t>(double(touched) * cfg.prefill_fraction);
+    n = touched / 2;
     const uint64_t cap = cfg.ops_per_thread * static_cast<uint64_t>(cfg.threads);
     if (n > cap) n = cap;  // don't spend longer prefilling than measuring
   }
   auto dist = make_distribution(cfg);
   Xoshiro256 rng(cfg.seed ^ 0xabcdef);
   for (uint64_t i = 0; i < n; ++i) set.insert(dist->sample(rng));
+}
+
+inline uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
+                           std::chrono::steady_clock::time_point to) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
+
+/// One worker's ops through its own BatchBuffer. Sampled ops are timed
+/// from their submit to the drain that covers them.
+template <OrderedSet Set>
+void run_batched(serve::BatchBuffer<Set>& buf, OpStream& stream,
+                 const BenchConfig& cfg, std::vector<uint64_t>& lat) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<Clock::time_point> waiting;  // submits of undrained samples
+  waiting.reserve(buf.capacity() / cfg.latency_sample_every + 1);
+  auto record_drained = [&] {
+    const Clock::time_point done = Clock::now();
+    for (const Clock::time_point s : waiting) lat.push_back(elapsed_ns(s, done));
+    waiting.clear();
+  };
+  for (uint64_t i = 0; i < cfg.ops_per_thread; ++i) {
+    Op op = stream.next();
+    if (op.kind == OpKind::kRangeScan) op.kind = OpKind::kPredecessor;
+    if (cfg.sample_latency && i % cfg.latency_sample_every == 0) {
+      waiting.push_back(Clock::now());
+    }
+    buf.submit(op);
+    if (buf.pending() == 0 && !waiting.empty()) record_drained();
+  }
+  buf.flush();
+  if (!waiting.empty()) record_drained();
 }
 
 template <OrderedSet Set>
@@ -129,20 +163,24 @@ BenchResult run_bench(Set& set, const BenchConfig& cfg) {
       auto dist = make_distribution(cfg);
       OpStream stream(cfg.mix, *dist, cfg.seed + 1000003ull * (t + 1),
                       cfg.scan_span, cfg.scan_limit);
+      std::optional<serve::BatchBuffer<Set>> buf;
+      if (cfg.batch > 1) buf.emplace(set, cfg.batch);
+      if (cfg.sample_latency) {
+        lat[t]->reserve(cfg.ops_per_thread / cfg.latency_sample_every + 1);
+      }
       ready.fetch_add(1);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       uint64_t local_sink = 0;
-      if (cfg.sample_latency) {
-        lat[t]->reserve(cfg.ops_per_thread / cfg.latency_sample_every + 1);
+      if (buf) {
+        run_batched(*buf, stream, cfg, *lat[t]);
+      } else if (cfg.sample_latency) {
         for (uint64_t i = 0; i < cfg.ops_per_thread; ++i) {
           Op op = stream.next();
           if (i % cfg.latency_sample_every == 0) {
             auto t0 = std::chrono::steady_clock::now();
             local_sink += apply_op(set, op);
             auto t1 = std::chrono::steady_clock::now();
-            lat[t]->push_back(static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count()));
+            lat[t]->push_back(elapsed_ns(t0, t1));
           } else {
             local_sink += apply_op(set, op);
           }

@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/pinning.hpp"
 #include "sync/random.hpp"
 #include "verify/linearizability.hpp"
 
@@ -45,9 +44,6 @@ struct StressSpec {
   int scan_weight = 0;
   Key scan_span = 6;  // window width; anchored at a random key
   uint64_t seed = 1;
-  // Pin worker t to the t-th CPU of the placement order (serve/pinning.hpp).
-  // Best effort; lets stress runs reproduce the pinned-bench interleavings.
-  bool pin = false;
 };
 
 /// Runs the windowed Wing–Gong stress against `set`. If `background` is
@@ -87,7 +83,6 @@ void linearizability_stress(
     std::atomic<bool> go{false};
     for (int t = 0; t < spec.threads; ++t) {
       ts.emplace_back([&, t] {
-        if (spec.pin) serve::pin_self(t);
         Xoshiro256 rng(spec.seed * 7919 + static_cast<uint64_t>(round) * 131 +
                        static_cast<uint64_t>(t));
         ready.fetch_add(1);
@@ -135,8 +130,9 @@ void linearizability_stress(
     for (auto& th : ts) th.join();
 
     std::vector<RecordedOp> history;
-    for (auto& v : per_thread) {
-      history.insert(history.end(), v.begin(), v.end());
+    for (int t = 0; t < spec.threads; ++t) {
+      for (RecordedOp& op : per_thread[t]) op.thread = t;
+      history.insert(history.end(), per_thread[t].begin(), per_thread[t].end());
     }
     // Quiescent observation: pins the post-round state.
     uint64_t observed = 0;

@@ -23,6 +23,16 @@ TEST(LinChecker, EmptyHistoryIsLinearizable) {
   EXPECT_TRUE(LinearizabilityChecker::check({}, 0));
 }
 
+TEST(LinChecker, DescribeNamesTheRecordingThread) {
+  RecordedOp a = op(OpKind::kInsert, 3, 1, 4);
+  a.thread = 2;
+  const RecordedOp b = op(OpKind::kContains, 3, 5, 6, 1);  // thread unknown
+  const std::string text = describe({b, a});
+  EXPECT_NE(text.find("1-4 t2 insert(3) -> 0"), std::string::npos) << text;
+  EXPECT_NE(text.find("5-6 t- contains(3) -> 1"), std::string::npos) << text;
+  EXPECT_LT(text.find("insert"), text.find("contains")) << text;
+}
+
 TEST(LinChecker, SequentialHistoryAccepted) {
   std::vector<RecordedOp> h = {
       op(OpKind::kInsert, 3, 1, 2),

@@ -116,7 +116,10 @@ void batched_wing_gong(Set& set, uint64_t seed) {
     for (auto& th : ts) th.join();
 
     std::vector<RecordedOp> history;
-    for (auto& v : per_thread) history.insert(history.end(), v.begin(), v.end());
+    for (int t = 0; t < kWriters + kReaders; ++t) {
+      for (RecordedOp& op : per_thread[t]) op.thread = t;
+      history.insert(history.end(), per_thread[t].begin(), per_thread[t].end());
+    }
     uint64_t observed = 0;
     for (Key k = 0; k < kUniverse; ++k) {
       recorded_apply(set, OpKind::kContains, k, clock, history);
