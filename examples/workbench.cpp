@@ -1,19 +1,13 @@
 // Workbench: run an ad-hoc workload against any shipped structure from
 // the command line.
 //
-//   workbench [--mem-stats] [--pin] [--batch <n>]
-//             [structure] [threads] [ops_per_thread]
+//   workbench [--mem-stats] [structure] [threads] [ops_per_thread]
 //             [log2_universe] [insert%] [erase%] [contains%] [pred%]
 //             [zipf_theta] [shards] [succ%] [scan%] [scan_span]
 //
 //   --mem-stats: append the reclamation picture after the run — one row
 //                per pooled memory class (reclaim/mem_stats.hpp) with
 //                reserved bytes, live objects and the recycle rate.
-//   --pin:       pin worker t to the t-th CPU of the placement order
-//                (serve/pinning.hpp: distinct physical cores first).
-//   --batch <n>: ops flow through a per-thread BatchBuffer of capacity n
-//                (serve/batch.hpp) instead of direct calls, and the run
-//                reports its drains. n <= 1 (the default) is direct calls.
 //
 //   structure: lockfree-trie | sharded-trie | relaxed-trie | compressed |
 //              enc-u64-trie | enc-u64-compressed | enc-str-trie
@@ -26,14 +20,12 @@
 // trie (keys/compressed_trie.hpp).
 //
 // The six percentages must sum to 100; every structure serves all six op
-// kinds. With --batch, range scans are submitted as predecessor queries
-// (the batch facade is a point-op front door).
+// kinds.
 //
 // Examples:
 //   workbench lockfree-trie 8 100000 16 50 50 0 0
 //   workbench lockfree-trie 4 200000 16 20 20 0 0 0 0 30 30 64
 //   workbench sharded-trie 8 100000 20 50 50 0 0 0 16
-//   workbench --pin --batch 256 sharded-trie 8 100000 20 50 50 0 0
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -75,22 +67,13 @@ int run(const lfbt::BenchConfig& cfg, const char* name) {
   lfbt::Stats::reset();
   auto res = lfbt::bench_fresh<Set>(cfg);
   std::printf("structure        : %s\n", name);
-  std::printf("threads          : %d%s\n", cfg.threads,
-              cfg.pin ? " (pinned)" : "");
+  std::printf("threads          : %d\n", cfg.threads);
   std::printf("universe         : %ld\n", static_cast<long>(cfg.universe));
   std::printf("mix              : %s\n", cfg.mix.name().c_str());
   std::printf("zipf theta       : %.2f\n", cfg.zipf_theta);
   std::printf("total ops        : %lu\n", static_cast<unsigned long>(res.total_ops));
   std::printf("elapsed          : %.3f s\n", res.elapsed_sec);
   std::printf("throughput       : %.3f Mops/s\n", res.mops_per_sec);
-  if (res.steps.batch_flushes > 0) {
-    std::printf("drains           : %lu of batch %zu (%.1f ops/drain, "
-                "%.1f%% coalesced)\n",
-                static_cast<unsigned long>(res.steps.batch_flushes), cfg.batch,
-                double(res.total_ops) / double(res.steps.batch_flushes),
-                100.0 * double(res.steps.batch_coalesced) /
-                    double(res.total_ops));
-  }
   if (res.steps.scan_ops > 0) {
     std::printf("range scans      : %lu (%.2f keys/scan, span %ld)\n",
                 static_cast<unsigned long>(res.steps.scan_ops),
@@ -118,16 +101,10 @@ int main(int argc, char** argv) {
   using namespace lfbt;
   // Strip flags out of argv so the positional parse below stays simple;
   // flags may appear anywhere.
-  bool pin = false;
-  long batch = 1;
   int n = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--mem-stats") == 0) {
       g_mem_stats = true;
-    } else if (std::strcmp(argv[i], "--pin") == 0) {
-      pin = true;
-    } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      batch = std::atol(argv[++i]);
     } else {
       argv[n++] = argv[i];
     }
@@ -135,8 +112,6 @@ int main(int argc, char** argv) {
   argc = n;
   std::string structure = argc > 1 ? argv[1] : "lockfree-trie";
   BenchConfig cfg;
-  cfg.pin = pin;
-  cfg.batch = batch > 1 ? static_cast<std::size_t>(batch) : 1;
   cfg.threads = argc > 2 ? std::atoi(argv[2]) : 4;
   cfg.ops_per_thread = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 100000;
   cfg.universe = Key{1} << (argc > 4 ? std::atoi(argv[4]) : 16);

@@ -1,9 +1,9 @@
-// Standard-library baseline for the key-encoding layer (E17), per the
-// TKTRIE2 comparison methodology: the ordered contender is what a
-// production team reaches for first — a `std::map`-family red-black tree
-// under one global mutex (here std::set<Key>, the exact set-workload
-// analogue). It is driven through the same KeyspaceView codec round trip
-// as the tries, so E17 compares structures, not conversion overhead.
+// Standard-library reference set, per the TKTRIE2 comparison methodology:
+// what a production team reaches for first — a `std::map`-family
+// red-black tree under one global mutex (here std::set<Key>, the exact
+// set-workload analogue). Tests use it as a reference structure, also
+// behind the same KeyspaceView codec round trip as the tries; it is the
+// planned `std` rung of stackbench's ladder (ROADMAP 2(b)).
 #pragma once
 
 #include <cstddef>

@@ -227,15 +227,15 @@ class AnnounceList {
   }
 
   const int side_;
-  // False-sharing fix (E16 audit): head_.next is the most-CASed word of
-  // every announce list (all inserts splice at or walk from it, and the
-  // head-adjacent unlink CAS lands there too), and unpadded it shared a
-  // line with tail_ — whose key every traversal termination check reads —
-  // and with the const config words above. Line-aligning both sentinels
-  // keeps insert-CAS invalidations away from the read-only traversal
-  // state. Measured within noise on the 1-core dev container (no
-  // cross-core traffic exists there); the structural argument is the
-  // multicore one, same as sync/ebr.cpp.
+  // False-sharing fix (E16 audit, recorded in docs/EXPERIMENTS.md):
+  // head_.next is the most-CASed word of every announce list (all inserts
+  // splice at or walk from it, and the head-adjacent unlink CAS lands
+  // there too), and unpadded it shared a line with tail_ — whose key
+  // every traversal termination check reads — and with the const config
+  // words above. Line-aligning both sentinels keeps insert-CAS
+  // invalidations away from the read-only traversal state. Measured
+  // within noise on a 1-core host (no cross-core traffic exists there);
+  // the structural argument is the multicore one, same as sync/ebr.cpp.
   alignas(kCacheLine) AnnCell head_;
   alignas(kCacheLine) AnnCell tail_;
 };

@@ -149,14 +149,15 @@ class PAll {
     }
   }
 
-  // False-sharing fix (E16 audit): every announce (push) and snip CASes
-  // this word, and PAll lives embedded inside the trie object next to
-  // whatever members the structure declares around it — unpadded, the
-  // head shared a line with the trie's root/limits words that every
-  // operation reads. One line for the head keeps announce-traffic
-  // invalidations off the read-mostly fields. Like the EBR announce
-  // split (sync/ebr.cpp), the 1-core dev container measures this within
-  // noise; the hazard is cross-core invalidation, which needs multicore.
+  // False-sharing fix (E16 audit, recorded in docs/EXPERIMENTS.md):
+  // every announce (push) and snip CASes this word, and PAll lives
+  // embedded inside the trie object next to whatever members the
+  // structure declares around it — unpadded, the head shared a line with
+  // the trie's root/limits words that every operation reads. One line for
+  // the head keeps announce-traffic invalidations off the read-mostly
+  // fields. Like the EBR announce split (sync/ebr.cpp), a 1-core host
+  // measured this within noise; the hazard is cross-core invalidation,
+  // which needs multicore.
   PaddedAtomic<uintptr_t> head_{};
 };
 

@@ -36,8 +36,8 @@ enum class MemClass : int {
   kArenaChunk = 4,
   // Service-facade batch buffers (serve/batch.hpp): slot rings + the
   // coalescing key table, reserved once per BatchBuffer at construction.
-  // The E16 buffer-reuse test asserts this gauge is FLAT across flushes —
-  // a drain must never allocate.
+  // BatchBuffer.ReuseKeepsMemoryFlat (tests/test_serve.cpp) asserts this
+  // gauge is FLAT across flushes — a drain must never allocate.
   kBatchSlot = 5,
 };
 

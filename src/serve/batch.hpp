@@ -17,7 +17,8 @@
 //     only the LAST update per key can affect any observable state, so
 //     the earlier ones complete without paying their announcement-list
 //     splices at all. Under skewed (Zipf/hot-range) write traffic this
-//     removes a large fraction of the shared-list work — E16 measures it.
+//     removes a large fraction of the shared-list work — stackbench's
+//     ingest-hot workload and its `batch` ladder rung measure it.
 //
 // Linearization contract ("batched linearization", docs/DESIGN.md):
 // every buffered op linearizes at its DRAIN POINT inside flush(), in

@@ -17,18 +17,19 @@ struct Retired {
   uint64_t epoch;
 };
 
-// False-sharing fix (E16 audit): the per-thread announce word is read by
-// every thread that retires (min_announced scans all slots), but it used
-// to share its cache line with the owner's limbo vector — so every
+// False-sharing fix (E16 audit, recorded in docs/EXPERIMENTS.md): the
+// per-thread announce word is read by every thread that retires
+// (min_announced scans all slots), but it used to share its cache line
+// with the owner's limbo vector — so every
 // owner-side retire (a push_back mutating the vector's size field)
 // invalidated the line under all concurrent scanners, and every guard
 // enter/exit invalidated the owner's own limbo line. Announce words now
 // live in their own PaddedAtomic array (one line each, and a dense
 // read-only-to-scanners region for the min_announced sweep); the
 // owner-only state below keeps its line padding so two owners' limbo
-// vectors never share a line either. E16 on the 1-core dev container
-// measures this within noise (no cross-core invalidation traffic exists
-// there, 8-thread update-heavy delta +1%); the structural hazard —
+// vectors never share a line either. E16 on a 1-core host measured this
+// within noise (no cross-core invalidation traffic exists there,
+// 8-thread update-heavy delta +1%); the structural hazard —
 // O(threads) invalidations per retire — only exists on multicore hosts.
 PaddedAtomic<uint64_t> g_announce[kMaxThreads];  // zero-init == kIdle
 

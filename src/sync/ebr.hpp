@@ -15,10 +15,10 @@
 // The arena keeps only the bounded populations (the latest dummies that
 // inserts materialise, and relaxed-trie nodes).
 //
-// Layout note (E16 false-sharing audit): per-thread announce words are a
-// PaddedAtomic array separate from the owner-only limbo state — see the
-// comment on g_announce in ebr.cpp for the measured delta and the
-// structural argument.
+// Layout note (E16 false-sharing audit, recorded in docs/EXPERIMENTS.md):
+// per-thread announce words are a PaddedAtomic array separate from the
+// owner-only limbo state — see the comment on g_announce in ebr.cpp for
+// the measured delta and the structural argument.
 #pragma once
 
 #include <atomic>

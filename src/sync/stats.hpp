@@ -37,10 +37,11 @@ struct StepCounts {
   // comes from the same StepCounts delta as every other counter.
   uint64_t scan_ops = 0;
   uint64_t scan_keys = 0;
-  // Validated-scan accounting (E15 / the atomic-scan torture tests):
-  // scans whose kept walk validated as atomic, walks discarded because an
-  // update epoch moved mid-walk, and scans that exhausted their retry
-  // budget and kept a per-step walk (atomic == false).
+  // Validated-scan accounting (stackbench's query.scan_* metrics and the
+  // atomic-scan torture tests): scans whose kept walk validated as
+  // atomic, walks discarded because an update epoch moved mid-walk, and
+  // scans that exhausted their retry budget and kept a per-step walk
+  // (atomic == false).
   uint64_t atomic_scans = 0;
   uint64_t scan_retries = 0;
   uint64_t scan_fallbacks = 0;
@@ -54,11 +55,11 @@ struct StepCounts {
   // Notify traffic: notify nodes an update pushed onto announced queries'
   // notify lists (paper l.146–161), one per successful push.
   uint64_t notify_pushes = 0;
-  // Service-facade accounting (E16 / serve/batch.hpp): drains executed,
-  // ops drained through them, and ops the coalescing pass retired
-  // without touching the structure (same-key updates superseded within a
-  // query-free segment). coalesced/ops is the announcement-traffic
-  // saving the batched front door buys.
+  // Service-facade accounting (serve/batch.hpp; stackbench's serve.*
+  // metrics): drains executed, ops drained through them, and ops the
+  // coalescing pass retired without touching the structure (same-key
+  // updates superseded within a query-free segment). coalesced/ops is the
+  // announcement-traffic saving the batched front door buys.
   uint64_t batch_flushes = 0;
   uint64_t batch_ops = 0;
   uint64_t batch_coalesced = 0;

@@ -5,14 +5,14 @@
 // that spawn thousands of short-lived threads stay within kMaxThreads
 // concurrently-live slots.
 //
-// Layout note (E16 false-sharing audit): the claim words are
-// PaddedAtomic<bool>, one cache line each — a slot claim/release CAS by
-// a starting/exiting thread must not invalidate the line under a
-// neighbouring slot's CAS. Registration is cold (once per thread
-// lifetime), so this is cheap insurance rather than a measured win; the
-// hot per-thread words that DID measure — the EBR announce epochs that
-// adjoined the owner-mutated limbo vectors — are padded in sync/ebr.cpp
-// (see g_announce there for the E16 numbers).
+// Layout note (E16 false-sharing audit, recorded in docs/EXPERIMENTS.md):
+// the claim words are PaddedAtomic<bool>, one cache line each — a slot
+// claim/release CAS by a starting/exiting thread must not invalidate the
+// line under a neighbouring slot's CAS. Registration is cold (once per
+// thread lifetime), so this is cheap insurance rather than a measured
+// win; the hot per-thread words that DID measure — the EBR announce
+// epochs that adjoined the owner-mutated limbo vectors — are padded in
+// sync/ebr.cpp (see g_announce there for the audit's numbers).
 #pragma once
 
 #include <atomic>

@@ -2,9 +2,10 @@
 // fixed per-thread operation count, measuring throughput, per-op latency
 // percentiles (sampled) and instrumentation counters. Op counts are fixed
 // (not time-targeted) so arena-backed structures run in bounded memory.
-// Closed loop: each worker issues its next op as soon as the previous
-// one returns, either by calling the set directly or through its own
-// serve::BatchBuffer (BenchConfig::batch).
+// Closed loop: each worker calls the set directly and issues its next op
+// as soon as the previous one returns. It drives the soak tests
+// (workload/soak.hpp) and examples/workbench; the benchmark of record is
+// stackbench/, which has its own driver.
 #pragma once
 
 #include <algorithm>
@@ -13,13 +14,10 @@
 #include <cstddef>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "serve/batch.hpp"
-#include "serve/pinning.hpp"
 #include "shard/ordered_set.hpp"
 #include "sync/cacheline.hpp"
 #include "sync/stats.hpp"
@@ -46,16 +44,6 @@ struct BenchConfig {
   // ShardedTrie). 0 keeps the structure's default; ignored by
   // non-sharded structures.
   int shards = 0;
-  // Pin worker t to the t-th CPU of the placement order (serve/pinning.hpp:
-  // distinct physical cores first). Best effort: if the platform refuses,
-  // the worker runs unpinned.
-  bool pin = false;
-  // Batch capacity. <= 1 calls the set directly; a larger value routes
-  // each worker's ops through its own serve::BatchBuffer of that
-  // capacity, range scans submitted as predecessors (the buffer takes
-  // point ops only). A sampled op's latency then runs from its submit to
-  // the drain that covers it.
-  std::size_t batch = 1;
 };
 
 struct BenchResult {
@@ -112,46 +100,15 @@ void prefill(Set& set, const BenchConfig& cfg) {
   for (uint64_t i = 0; i < n; ++i) set.insert(dist->sample(rng));
 }
 
-inline uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
-                           std::chrono::steady_clock::time_point to) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
-}
-
-/// One worker's ops through its own BatchBuffer. Sampled ops are timed
-/// from their submit to the drain that covers them.
-template <OrderedSet Set>
-void run_batched(serve::BatchBuffer<Set>& buf, OpStream& stream,
-                 const BenchConfig& cfg, std::vector<uint64_t>& lat) {
-  using Clock = std::chrono::steady_clock;
-  std::vector<Clock::time_point> waiting;  // submits of undrained samples
-  waiting.reserve(buf.capacity() / cfg.latency_sample_every + 1);
-  auto record_drained = [&] {
-    const Clock::time_point done = Clock::now();
-    for (const Clock::time_point s : waiting) lat.push_back(elapsed_ns(s, done));
-    waiting.clear();
-  };
-  for (uint64_t i = 0; i < cfg.ops_per_thread; ++i) {
-    Op op = stream.next();
-    if (op.kind == OpKind::kRangeScan) op.kind = OpKind::kPredecessor;
-    if (cfg.sample_latency && i % cfg.latency_sample_every == 0) {
-      waiting.push_back(Clock::now());
-    }
-    buf.submit(op);
-    if (buf.pending() == 0 && !waiting.empty()) record_drained();
-  }
-  buf.flush();
-  if (!waiting.empty()) record_drained();
-}
-
 template <OrderedSet Set>
 BenchResult run_bench(Set& set, const BenchConfig& cfg) {
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;
-  // Padded (E16 false-sharing audit): adjacent std::vector headers are 24
-  // bytes, so up to three workers' size/capacity fields — mutated on every
-  // sampled push_back — shared one line and bounced it between samplers.
+  // Padded (E16 false-sharing audit, recorded in docs/EXPERIMENTS.md):
+  // adjacent std::vector headers are 24 bytes, so up to three workers'
+  // size/capacity fields — mutated on every sampled push_back — shared
+  // one line and bounced it between samplers.
   std::vector<Padded<std::vector<uint64_t>>> lat(cfg.threads);
   std::atomic<uint64_t> sink{0};
 
@@ -159,28 +116,25 @@ BenchResult run_bench(Set& set, const BenchConfig& cfg) {
 
   for (int t = 0; t < cfg.threads; ++t) {
     workers.emplace_back([&, t] {
-      if (cfg.pin) serve::pin_self(t);
       auto dist = make_distribution(cfg);
       OpStream stream(cfg.mix, *dist, cfg.seed + 1000003ull * (t + 1),
                       cfg.scan_span, cfg.scan_limit);
-      std::optional<serve::BatchBuffer<Set>> buf;
-      if (cfg.batch > 1) buf.emplace(set, cfg.batch);
       if (cfg.sample_latency) {
         lat[t]->reserve(cfg.ops_per_thread / cfg.latency_sample_every + 1);
       }
       ready.fetch_add(1);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       uint64_t local_sink = 0;
-      if (buf) {
-        run_batched(*buf, stream, cfg, *lat[t]);
-      } else if (cfg.sample_latency) {
+      if (cfg.sample_latency) {
         for (uint64_t i = 0; i < cfg.ops_per_thread; ++i) {
           Op op = stream.next();
           if (i % cfg.latency_sample_every == 0) {
             auto t0 = std::chrono::steady_clock::now();
             local_sink += apply_op(set, op);
             auto t1 = std::chrono::steady_clock::now();
-            lat[t]->push_back(elapsed_ns(t0, t1));
+            lat[t]->push_back(static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                    .count()));
           } else {
             local_sink += apply_op(set, op);
           }

@@ -12,9 +12,10 @@
 // through EBR instead of accreting. Before PR 6 both curves grew without
 // bound under exactly this workload.
 //
-// The harness is deliberately tiny and header-only so the unit tests and
-// the E14 bench share one definition of "a window" and one flatness
-// predicate.
+// The harness is deliberately tiny and header-only so every soak test
+// (Reclaim.ChurnSoakSmokeTailIsFlat, Resharding.SplitMergeChurnSoakStaysFlat,
+// KeyspaceViewSoak.*) shares one definition of "a window" and one
+// flatness predicate.
 #pragma once
 
 #include <array>
@@ -52,10 +53,11 @@ struct SoakConfig {
   uint64_t seed = 7;
   int shards = 0;  // passed through to sharded structures
   // Optional per-window disturbance, run on its own thread CONCURRENTLY
-  // with the window's workload (called with the window index). The E14
-  // resharding soak uses this to drive split/merge churn while clients
-  // hammer the structure; the flatness predicate then covers the
-  // control plane's allocations (tables, ctl blocks, shard arenas) too.
+  // with the window's workload (called with the window index).
+  // Resharding.SplitMergeChurnSoakStaysFlat uses this to drive split/merge
+  // churn while clients hammer the structure; the flatness predicate then
+  // covers the control plane's allocations (tables, ctl blocks, shard
+  // arenas) too.
   std::function<void(int window)> disturbance;
 };
 

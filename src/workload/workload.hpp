@@ -70,17 +70,11 @@ struct OpMix {
 };
 
 inline constexpr OpMix kUpdateHeavy{50, 50, 0, 0};
-inline constexpr OpMix kSearchHeavy{10, 10, 80, 0};
 inline constexpr OpMix kPredHeavy{20, 20, 0, 60};
 inline constexpr OpMix kBalanced{25, 25, 25, 25};
 inline constexpr OpMix kSuccHeavy{20, 20, 0, 0, 60, 0};
 inline constexpr OpMix kScanHeavy{10, 10, 0, 0, 0, 80};
 inline constexpr OpMix kTraversalMix{15, 15, 10, 20, 20, 20};
-/// Scan-atomicity mix: majority validated scans against enough update
-/// churn to force retries (and, under skew, occasional fallbacks) — the
-/// E15 panel and the scan-torture tests read the atomic/retry/fallback
-/// counters this mix populates.
-inline constexpr OpMix kScanAtomicity{20, 20, 0, 0, 0, 60};
 
 struct Op {
   OpKind kind;

@@ -234,9 +234,12 @@ TEST(AtomicScan, WingGongShardedWithScansAndReshardChurn) {
 }
 
 // ---- Single-writer oracle over scan windows -------------------------------
+// One writer owns the state timeline over keys [0, 48) while readers log
+// validated scans; every scan reported atomic must equal some state
+// version alive during it.
 
-TEST(AtomicScan, SingleWriterOracleAdmitsShardedScans) {
-  ShardedTrie t(48, 3);
+template <class Set>
+void single_writer_scan_audit(Set& t) {
   SingleWriterOracle oracle;
   HistoryClock clock;
   constexpr int kReaders = 3;
@@ -270,6 +273,17 @@ TEST(AtomicScan, SingleWriterOracleAdmitsShardedScans) {
     ASSERT_EQ(oracle.validate(logs[r]), -1) << "reader " << r;
     EXPECT_GT(logs[r].size(), 0u) << "every scan fell back; no coverage";
   }
+}
+
+TEST(AtomicScan, SingleWriterOracleAdmitsShardedScans) {
+  ShardedTrie t(48, 3);
+  single_writer_scan_audit(t);
+}
+
+TEST(AtomicScan, SingleWriterOracleAdmitsFlatScans) {
+  // The flat trie validates a scan against its one update epoch.
+  LockFreeBinaryTrie t(64);
+  single_writer_scan_audit(t);
 }
 
 // ---- Fault injection: scans against a frozen splitter ---------------------

@@ -516,6 +516,23 @@ TEST(KeyspaceView, SequentialDifferentialStringView) {
   KeyspaceView<std::string, LockFreeBinaryTrie> v(1 << 10);
   testutil::sequential_differential(v, 1 << 10, 40000, 406);
   testutil::quiescent_predecessor_exact(v, 1 << 10);
+  KeyspaceView<std::string, CompressedBitTrie> c(1 << 10);
+  testutil::sequential_differential(c, 1 << 10, 40000, 409);
+  KeyspaceView<std::string, LockedStdSet> s(1 << 10);
+  testutil::sequential_differential(s, 1 << 10, 40000, 410);
+}
+
+TEST(KeyspaceView, SequentialDifferentialU64View) {
+  // u64 keys through the codec round trip over each inner structure,
+  // checked against std::set on the Key-typed view surface.
+  constexpr Key kU = 4096;
+  KeyspaceView<uint64_t, LockFreeBinaryTrie> t(kU);
+  testutil::sequential_differential(t, kU, 40000, 411);
+  testutil::quiescent_predecessor_exact(t, kU);
+  KeyspaceView<uint64_t, CompressedBitTrie> c(kU);
+  testutil::sequential_differential(c, kU, 40000, 412);
+  KeyspaceView<uint64_t, LockedStdSet> s(kU);
+  testutil::sequential_differential(s, kU, 40000, 413);
 }
 
 TEST(KeyspaceView, HonestyFlagsPassThrough) {

@@ -159,34 +159,6 @@ TEST(Harness, TraversalMixAcrossEveryStructure) {
   traversal_mix_smoke<CompressedBitTrie>();
 }
 
-TEST(Harness, BatchedModeDrainsEveryOpThroughPerThreadBuffers) {
-  // The harness's batched mode: each worker owns a BatchBuffer, every op
-  // goes through a drain, and the update-heavy storm over a 256-key
-  // window coalesces. Sampled latencies run from submit to the drain.
-  BenchConfig cfg;
-  cfg.threads = 2;
-  cfg.ops_per_thread = 20000;
-  cfg.universe = Key{1} << 20;
-  cfg.mix = kUpdateHeavy;
-  cfg.cluster_width = 256;
-  cfg.shards = 8;
-  cfg.sample_latency = true;
-  cfg.batch = 256;
-  auto res = bench_fresh<ShardedTrie>(cfg);
-  EXPECT_EQ(res.total_ops, 40000u);
-  EXPECT_EQ(res.steps.batch_ops, res.total_ops);
-  EXPECT_GT(res.steps.batch_flushes, 0u);
-  EXPECT_GT(res.steps.batch_coalesced, 0u);
-  ASSERT_FALSE(res.latencies_ns.empty());
-  EXPECT_GE(res.latency_pct(0.99), res.latency_pct(0.50));
-
-  // A batch of one is direct calls: nothing drains.
-  cfg.batch = 1;
-  res = bench_fresh<ShardedTrie>(cfg);
-  EXPECT_EQ(res.total_ops, 40000u);
-  EXPECT_EQ(res.steps.batch_flushes, 0u);
-}
-
 TEST(Harness, PrefillRespectsExplicitCount) {
   BenchConfig cfg;
   cfg.universe = 1 << 12;
