@@ -27,7 +27,6 @@ mkdir -p "$LOG_DIR"
 
 # binary  gtest filter (Wing–Gong + oracle tests of that binary)
 SUITES=(
-  "test_resharding Resharding.Linearizable*:Resharding.SingleWriter*:Resharding.Frozen*:Resharding.ConcurrentSplits*"
   "test_atomic_scan *WingGong*:*Oracle*"
   "test_lockfree_trie_concurrent *SingleWriterOracle*"
   "test_lockfree_trie_concurrent *StripedHotWindowOracle*"

@@ -129,10 +129,11 @@ class NodeArena {
   // across several arenas — e.g. the per-shard arenas of a ShardedTrie —
   // keeps one open chunk per arena instead of abandoning a fresh chunk on
   // every arena switch. Consecutively-created arenas (a sharded trie's
-  // shards) map to distinct slots — ShardedTrie::kMaxShards = 64 is sized
-  // to exactly this capacity, one arena per shard. On a collision the
-  // evicted arena's open chunk is abandoned: wasted until that arena dies, never leaked, and no
-  // worse than the pre-cache behaviour. Slots are padded per *thread* (not
+  // shards, all created by its constructor) map to distinct slots —
+  // ShardedTrie::kMaxShards = 64 caps a trie at exactly this capacity,
+  // one arena per shard. On a collision the evicted arena's open chunk is
+  // abandoned: wasted until that arena dies, never leaked, and no worse
+  // than the pre-cache behaviour. Slots are padded per *thread* (not
   // per slot); only this thread touches its group, so intra-group sharing
   // is harmless.
   static constexpr std::size_t kSlotsPerThread = 64;

@@ -1,7 +1,6 @@
 #include "sync/ebr.hpp"
 
 #include <array>
-#include <thread>
 
 namespace lfbt::ebr {
 namespace {
@@ -127,21 +126,6 @@ void retire(void* ptr, void (*deleter)(void*)) {
 void collect() {
   try_advance();
   sweep(self());
-}
-
-void synchronize() {
-  // The token lands in this thread's limbo stamped with the current
-  // epoch; its deleter runs exactly when a grace period has elapsed —
-  // i.e. when every guard live at the retire has exited. Spinning
-  // collect() both advances the global epoch and sweeps our own limbo.
-  std::atomic<bool> done{false};
-  retire(&done, [](void* p) {
-    static_cast<std::atomic<bool>*>(p)->store(true, std::memory_order_release);
-  });
-  while (!done.load(std::memory_order_acquire)) {
-    collect();
-    std::this_thread::yield();
-  }
 }
 
 void drain_unsafe() {

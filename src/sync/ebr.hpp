@@ -51,14 +51,6 @@ void retire(T* ptr) {
 /// every few retirements; exposed for tests and shutdown.
 void collect();
 
-/// Blocks until every guard that was live at the call has been released
-/// (one full grace period), by retiring a token and spinning collect()
-/// until its deleter runs. The caller must NOT hold a Guard — its own
-/// pinned epoch would make the wait infinite. Control-plane use only
-/// (resharding migration windows, shard/sharded_trie.hpp); data-plane
-/// operations never call this, so structure lock-freedom is unaffected.
-void synchronize();
-
 /// Frees everything unconditionally. Only call when no concurrent guards
 /// exist (e.g. test teardown after joining all threads).
 void drain_unsafe();

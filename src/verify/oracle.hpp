@@ -107,11 +107,7 @@ class SingleWriterOracle {
   }
 
   /// Membership reader: answer is 1/0. Together with the directional
-  /// queries this gives split-aware coverage of the whole read surface:
-  /// the single-writer premise survives a CONCURRENT SPLITTER, because
-  /// migration moves keys between backing tries without ever changing
-  /// the abstract set — the oracle's state timeline stays exact while a
-  /// split (or takeover, or abandoned migration) is in flight.
+  /// queries this covers the whole point-read surface.
   template <class Set>
   static void reader_contains_query(Set& set, Key y, HistoryClock& clock,
                                     std::vector<Query>& out) {
@@ -129,10 +125,7 @@ class SingleWriterOracle {
   /// claims one state produced its entire window, so some overlapping
   /// version's lowest min(limit, window) keys must match the mask
   /// exactly. Fallback walks make no such claim and are dropped (the
-  /// caller can count them via the return value or Stats). The same
-  /// split-invariance argument as reader_contains_query applies: a
-  /// concurrent migration never changes the abstract set, so the
-  /// oracle's timeline stays exact with a splitter in flight.
+  /// caller can count them via the return value or Stats).
   template <class Set>
   static bool reader_scan_query(Set& set, Key lo, Key hi, std::size_t limit,
                                 HistoryClock& clock,

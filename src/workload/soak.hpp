@@ -13,17 +13,14 @@
 // bound under exactly this workload.
 //
 // The harness is deliberately tiny and header-only so every soak test
-// (Reclaim.ChurnSoakSmokeTailIsFlat, Resharding.SplitMergeChurnSoakStaysFlat,
-// KeyspaceViewSoak.*) shares one definition of "a window" and one
-// flatness predicate.
+// (Reclaim.ChurnSoakSmokeTailIsFlat, KeyspaceViewSoak.*) shares one
+// definition of "a window" and one flatness predicate.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sync/ebr.hpp"
@@ -52,13 +49,6 @@ struct SoakConfig {
   OpMix mix = kUpdateHeavy;
   uint64_t seed = 7;
   int shards = 0;  // passed through to sharded structures
-  // Optional per-window disturbance, run on its own thread CONCURRENTLY
-  // with the window's workload (called with the window index).
-  // Resharding.SplitMergeChurnSoakStaysFlat uses this to drive split/merge
-  // churn while clients hammer the structure; the flatness predicate then
-  // covers the control plane's allocations (tables, ctl blocks, shard
-  // arenas) too.
-  std::function<void(int window)> disturbance;
 };
 
 /// Runs `cfg.windows` churn windows against `set`, sampling after each.
@@ -88,12 +78,7 @@ std::vector<SoakWindowSample> churn_soak(Set& set, const SoakConfig& cfg) {
     bc.mix = cfg.mix;
     bc.seed = cfg.seed + static_cast<uint64_t>(w) * 0x9e3779b9ull;
     bc.shards = cfg.shards;
-    std::thread disturber;
-    if (cfg.disturbance) {
-      disturber = std::thread([&cfg, w] { cfg.disturbance(w); });
-    }
     const BenchResult r = run_bench(set, bc);
-    if (disturber.joinable()) disturber.join();
     SoakWindowSample s;
     s.window = w;
     s.ops = r.total_ops;

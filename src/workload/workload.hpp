@@ -70,10 +70,7 @@ struct OpMix {
 };
 
 inline constexpr OpMix kUpdateHeavy{50, 50, 0, 0};
-inline constexpr OpMix kPredHeavy{20, 20, 0, 60};
 inline constexpr OpMix kBalanced{25, 25, 25, 25};
-inline constexpr OpMix kSuccHeavy{20, 20, 0, 0, 60, 0};
-inline constexpr OpMix kScanHeavy{10, 10, 0, 0, 0, 80};
 inline constexpr OpMix kTraversalMix{15, 15, 10, 20, 20, 20};
 
 struct Op {

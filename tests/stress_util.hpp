@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -46,31 +45,10 @@ struct StressSpec {
   uint64_t seed = 1;
 };
 
-/// Runs the windowed Wing–Gong stress against `set`. If `background` is
-/// set it runs on its own thread for the WHOLE stress (spanning every
-/// round and the quiescent observations between them), stopping when the
-/// passed flag goes true — the resharding tests use it to keep a
-/// split/merge churner in flight while rounds are checked, which is sound
-/// because migration never changes the abstract set the checker models.
+/// Runs the windowed Wing–Gong stress against `set`.
 template <class Set>
-void linearizability_stress(
-    Set& set, const StressSpec& spec,
-    const std::function<void(std::atomic<bool>&)>& background = {}) {
+void linearizability_stress(Set& set, const StressSpec& spec) {
   ASSERT_LE(spec.universe, 64);
-  std::atomic<bool> stop{false};
-  std::thread bg;
-  if (background) {
-    bg = std::thread([&] { background(stop); });
-  }
-  // ASSERT_* returns early on failure, so the stop/join must be RAII.
-  struct BgJoiner {
-    std::atomic<bool>& stop;
-    std::thread& bg;
-    ~BgJoiner() {
-      stop.store(true);
-      if (bg.joinable()) bg.join();
-    }
-  } joiner{stop, bg};
   uint64_t state = 0;
   for (Key k = 0; k < spec.universe; ++k) {
     if (set.contains(k)) state |= uint64_t{1} << k;

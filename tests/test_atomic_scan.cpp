@@ -2,13 +2,11 @@
 // epoch-validated scans (flat trie + ShardedTrie). Covers: quiet-window
 // atomicity, seeded mid-scan interference (deterministic retry and
 // forced-fallback paths, with the Stats retry counters), Wing–Gong
-// stress with whole-scan events under churn (including a split/merge
-// churner in flight), the single-writer oracle on scan windows, and
-// fault injection against a frozen splitter.
+// stress with whole-scan events under churn, and the single-writer
+// oracle on scan windows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
@@ -57,18 +55,17 @@ TEST(AtomicScan, FlatQuietScanValidatesFirstTry) {
 }
 
 TEST(AtomicScan, ShardedQuietScanValidatesAcrossRanges) {
-  ShardedTrie t(256, 4);
+  ShardedTrie t(250, 4);  // non-dividing: the last shard is narrower
   std::set<Key> ref;
-  for (Key k = 1; k < 256; k += 5) {
+  for (Key k = 1; k < 250; k += 5) {
     t.insert(k);
     ref.insert(k);
   }
-  ASSERT_TRUE(t.split(2));  // non-uniform geometry under the window
   std::vector<Key> out;
-  const ScanResult r = t.range_scan_validated(0, 255, kNoScanLimit, out);
+  const ScanResult r = t.range_scan_validated(0, 249, kNoScanLimit, out);
   EXPECT_TRUE(r.atomic);
   EXPECT_EQ(r.retries, 0u);
-  EXPECT_EQ(out, ref_window(ref, 0, 255));
+  EXPECT_EQ(out, ref_window(ref, 0, 249));
   out.clear();
   const ScanResult rl = t.range_scan_validated(40, 220, 7, out);
   EXPECT_TRUE(rl.atomic);
@@ -207,10 +204,9 @@ TEST(AtomicScan, WingGongFlatTrieWithScanEvents) {
   testutil::linearizability_stress(t, spec);
 }
 
-TEST(AtomicScan, WingGongShardedWithScansAndReshardChurn) {
-  // Whole-scan events checked while a background churner splits and
-  // re-merges the first range the entire time: scans must stay atomic
-  // (or honestly drop out) across migrations, which bump no epochs.
+TEST(AtomicScan, WingGongShardedWithScans) {
+  // Whole-scan events spanning the shard boundary: scans must stay atomic
+  // (or honestly drop out) while updates land in both shards.
   ShardedTrie t(16, 2);
   testutil::StressSpec spec;
   spec.universe = 16;
@@ -223,14 +219,7 @@ TEST(AtomicScan, WingGongShardedWithScansAndReshardChurn) {
   spec.contains_weight = 10;
   spec.scan_span = 8;
   spec.seed = 23;
-  std::atomic<uint64_t> churns{0};
-  testutil::linearizability_stress(t, spec, [&](std::atomic<bool>& stop) {
-    while (!stop.load()) {
-      if (t.split(0)) churns.fetch_add(1);
-      if (t.merge(0)) churns.fetch_add(1);
-    }
-  });
-  EXPECT_GT(churns.load(), 0u) << "churner never completed a reshard";
+  testutil::linearizability_stress(t, spec);
 }
 
 // ---- Single-writer oracle over scan windows -------------------------------
@@ -284,98 +273,6 @@ TEST(AtomicScan, SingleWriterOracleAdmitsFlatScans) {
   // The flat trie validates a scan against its one update epoch.
   LockFreeBinaryTrie t(64);
   single_writer_scan_audit(t);
-}
-
-// ---- Fault injection: scans against a frozen splitter ---------------------
-
-TEST(AtomicScan, ScanDuringFrozenSplitIsAtomicAndExact) {
-  // Freeze a split mid-migration (watermark inside the moved range) and
-  // scan across the half-migrated boundary. No client update runs, and
-  // migration moves bump no epochs, so the scan must validate on the
-  // first walk AND report the exact union — a key mid-move may briefly
-  // be in both tries, and the cursor-advance dedup must show it once.
-  ShardedTrie t(512, 2);
-  std::set<Key> ref;
-  for (Key k = 0; k < 512; k += 2) {
-    t.insert(k);
-    ref.insert(k);
-  }
-  std::atomic<bool> frozen{false};
-  std::atomic<bool> release{false};
-  std::thread splitter([&] {
-    const bool ok = t.split(1, [&](Key wm) {
-      if (wm > 384) {  // at least one batch already moved
-        frozen.store(true);
-        while (!release.load()) std::this_thread::yield();
-      }
-    });
-    EXPECT_TRUE(ok);
-  });
-  while (!frozen.load()) std::this_thread::yield();
-  ASSERT_TRUE(t.resharding_in_flight());
-  std::vector<Key> out;
-  const ScanResult r = t.range_scan_validated(300, 511, kNoScanLimit, out);
-  EXPECT_TRUE(r.atomic);
-  EXPECT_EQ(r.retries, 0u);
-  EXPECT_EQ(out, ref_window(ref, 300, 511));
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    ASSERT_LT(out[i - 1], out[i]) << "duplicate or out-of-order key";
-  }
-  release.store(true);
-  splitter.join();
-  out.clear();
-  const ScanResult r2 = t.range_scan_validated(0, 511, kNoScanLimit, out);
-  EXPECT_TRUE(r2.atomic);
-  EXPECT_EQ(out, ref_window(ref, 0, 511));
-}
-
-TEST(AtomicScan, ScanConcurrentWithSplitterAndWritersStaysSound) {
-  // Full torture: a crawling splitter/merger plus client writers, while
-  // a scanner hammers validated scans. Every atomic report must be a
-  // sorted duplicate-free subset of [lo, hi] — and by the oracle test
-  // above a single state; here we additionally check the structural
-  // invariants hold for non-atomic fallbacks too.
-  ShardedTrie t(256, 2);
-  for (Key k = 0; k < 256; k += 3) t.insert(k);
-  std::atomic<bool> stop{false};
-  std::thread churner([&] {
-    while (!stop.load()) {
-      t.split(0, [&](Key) { std::this_thread::yield(); });
-      t.merge(0, [&](Key) { std::this_thread::yield(); });
-    }
-  });
-  std::thread writer([&] {
-    Xoshiro256 rng(99);
-    while (!stop.load()) {
-      const Key k = static_cast<Key>(rng.bounded(256));
-      if (rng.bounded(2)) {
-        t.insert(k);
-      } else {
-        t.erase(k);
-      }
-    }
-  });
-  Xoshiro256 rng(98);
-  uint64_t atomic_seen = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const Key lo = static_cast<Key>(rng.bounded(200));
-    const Key hi = lo + static_cast<Key>(rng.bounded(56));
-    std::vector<Key> out;
-    const ScanResult r = t.range_scan_validated(lo, hi, kNoScanLimit, out);
-    ASSERT_EQ(out.size(), r.n);
-    for (std::size_t j = 0; j < out.size(); ++j) {
-      ASSERT_GE(out[j], lo);
-      ASSERT_LE(out[j], hi);
-      if (j > 0) {
-        ASSERT_LT(out[j - 1], out[j]) << "dup/unsorted in scan";
-      }
-    }
-    if (r.atomic) ++atomic_seen;
-  }
-  stop.store(true);
-  churner.join();
-  writer.join();
-  EXPECT_GT(atomic_seen, 0u) << "no scan ever validated under churn";
 }
 
 }  // namespace

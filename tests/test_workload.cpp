@@ -41,7 +41,8 @@ TEST(Workload, TraversalMixProportionsRespected) {
 
 TEST(Workload, RangeScanOpsAreWellFormed) {
   UniformDist dist(1000);
-  OpStream stream(kScanHeavy, dist, 7, /*scan_span=*/32, /*scan_limit=*/8);
+  OpStream stream(OpMix{10, 10, 0, 0, 0, 80}, dist, 7, /*scan_span=*/32,
+                  /*scan_limit=*/8);
   int scans = 0;
   for (int i = 0; i < 20000; ++i) {
     Op op = stream.next();
@@ -70,10 +71,7 @@ TEST(Workload, StreamsAreDeterministic) {
 TEST(Workload, MixNameIsDescriptive) {
   // Pre-traversal mixes keep their historical names (and JSON keys).
   EXPECT_EQ(kUpdateHeavy.name(), "i50/d50/s0/p0");
-  EXPECT_EQ(kPredHeavy.name(), "i20/d20/s0/p60");
   // Traversal fields appear only when nonzero.
-  EXPECT_EQ(kSuccHeavy.name(), "i20/d20/s0/p0/S60");
-  EXPECT_EQ(kScanHeavy.name(), "i10/d10/s0/p0/r80");
   EXPECT_EQ(kTraversalMix.name(), "i15/d15/s10/p20/S20/r20");
 }
 
