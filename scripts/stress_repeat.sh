@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Repeat-runs the Wing–Gong linearizability and single-writer oracle
 # tests of each concurrency test binary, the announcement-cell
-# reclamation tests and the relaxed-trie and trie-sweep concurrency
-# tests, so a flake that one ctest pass hides shows up as a failure rate. Meant for a host with >= 4 hardware threads, where
-# interleavings come from real parallelism rather than preemption.
+# reclamation tests, the relaxed-trie and trie-sweep concurrency tests
+# and the recycling pools' cross-thread tests, so a flake that one ctest
+# pass hides shows up as a failure rate. Meant for a host with >= 4
+# hardware threads, where interleavings come from real parallelism
+# rather than preemption.
 #
 #   usage: scripts/stress_repeat.sh N [build-dir]   (default build)
 #
@@ -25,18 +27,21 @@ if ! [[ "$N" =~ ^[1-9][0-9]*$ ]]; then
 fi
 mkdir -p "$LOG_DIR"
 
-# binary  gtest filter (Wing–Gong + oracle tests of that binary)
+# binary  gtest filter (Wing–Gong + oracle tests of that binary). The
+# slow BatchDrain Wing–Gong checker of test_serve runs last, so a job cut
+# by its timeout has run every other suite.
 SUITES=(
   "test_atomic_scan *WingGong*:*Oracle*"
   "test_lockfree_trie_concurrent *SingleWriterOracle*"
   "test_lockfree_trie_concurrent *StripedHotWindowOracle*"
   "test_successor SuccessorLinearizability.*"
-  "test_serve *WingGong*"
   "test_fused_query FusedQueryLinearizability.*:*StalledFusedDeleteUnderConcurrentQueries"
   "test_keys CompressedTrieConcurrent.*"
   "test_announce_list AnnounceList.RemovedCellIsUnreachableFromEitherHead:AnnounceList.RetiredCellOutlivesNotifierThatReadItsPosition"
   "test_relaxed_trie_concurrent RelaxedTrieConc.*"
   "test_lockfree_trie_properties TrieSweep.*"
+  "test_reclaim RecyclePool.*"
+  "test_serve *WingGong*"
 )
 
 fail=0

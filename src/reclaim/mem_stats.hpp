@@ -15,9 +15,14 @@
 //                      fresh slab space. recycled/acquired close to 1 is
 //                      the steady-state signature the soak harness checks.
 //
-// Counters are process-wide (pools are process-wide), always-on (the soak
-// smoke test in CI runs against release builds), relaxed, and padded so
-// the write-heavy classes do not false-share.
+// Counters are process-wide (pools are process-wide) and always on (the
+// soak smoke test in CI runs against release builds). The three event
+// counters are per thread, like Stats' step counters: each
+// ThreadRegistry slot owns one cache-line-aligned row of single-writer
+// relaxed atomics, bumped by a load and a store, so counting an
+// acquisition or a release takes no shared read-modify-write; a snapshot
+// sums the slots. bytes_reserved moves once per slab or chunk, so it
+// stays one shared atomic per class.
 #pragma once
 
 #include <atomic>
@@ -25,6 +30,7 @@
 #include <cstdint>
 
 #include "sync/cacheline.hpp"
+#include "sync/thread_registry.hpp"
 
 namespace lfbt {
 
@@ -71,29 +77,30 @@ class MemStats {
   };
 
   static void add_reserved(MemClass c, std::size_t bytes) noexcept {
-    cell(c).bytes_reserved.fetch_add(bytes, std::memory_order_relaxed);
+    reserved(c).fetch_add(bytes, std::memory_order_relaxed);
   }
 
   /// One object handed out; `recycled` when it came from a free list.
   static void on_acquire(MemClass c, bool recycled) noexcept {
-    Cell& k = cell(c);
-    k.acquired.fetch_add(1, std::memory_order_relaxed);
-    if (recycled) k.recycled.fetch_add(1, std::memory_order_relaxed);
+    Counts& k = own(c);
+    bump(k.acquired);
+    if (recycled) bump(k.recycled);
   }
 
   /// One object returned (counted when the release is *requested*, i.e. at
   /// ebr::retire time, not when the grace period expires).
-  static void on_release(MemClass c) noexcept {
-    cell(c).released.fetch_add(1, std::memory_order_relaxed);
-  }
+  static void on_release(MemClass c) noexcept { bump(own(c).released); }
 
   static ClassSnapshot snapshot(MemClass c) noexcept {
-    const Cell& k = cell(c);
     ClassSnapshot s;
-    s.bytes_reserved = k.bytes_reserved.load(std::memory_order_relaxed);
-    s.acquired = k.acquired.load(std::memory_order_relaxed);
-    s.released = k.released.load(std::memory_order_relaxed);
-    s.recycled = k.recycled.load(std::memory_order_relaxed);
+    s.bytes_reserved = reserved(c).load(std::memory_order_relaxed);
+    const int n = ThreadRegistry::high_water();
+    for (int t = 0; t < n; ++t) {
+      const Counts& k = slots_[t].cls[static_cast<int>(c)];
+      s.acquired += k.acquired.load(std::memory_order_relaxed);
+      s.released += k.released.load(std::memory_order_relaxed);
+      s.recycled += k.recycled.load(std::memory_order_relaxed);
+    }
     return s;
   }
 
@@ -112,17 +119,28 @@ class MemStats {
   }
 
  private:
-  struct alignas(kCacheLine) Cell {
-    std::atomic<std::uint64_t> bytes_reserved{0};
-    std::atomic<std::uint64_t> acquired{0};
-    std::atomic<std::uint64_t> released{0};
-    std::atomic<std::uint64_t> recycled{0};
+  struct Counts {  // std::atomic's default constructor zeroes (C++20)
+    std::atomic<std::uint64_t> acquired;
+    std::atomic<std::uint64_t> released;
+    std::atomic<std::uint64_t> recycled;
+  };
+  struct alignas(kCacheLine) Slot {
+    Counts cls[kNumMemClasses];
   };
 
-  static Cell& cell(MemClass c) noexcept {
-    static Cell cells[kNumMemClasses];
-    return cells[static_cast<int>(c)];
+  static Counts& own(MemClass c) noexcept {
+    return slots_[ThreadRegistry::id()].cls[static_cast<int>(c)];
   }
+  /// Single-writer increment: only the slot's owner stores to it.
+  static void bump(std::atomic<std::uint64_t>& v) noexcept {
+    v.store(v.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  static std::atomic<std::uint64_t>& reserved(MemClass c) noexcept {
+    return reserved_[static_cast<int>(c)].value;
+  }
+
+  static inline Slot slots_[kMaxThreads];
+  static inline PaddedAtomic<std::uint64_t> reserved_[kNumMemClasses];
 };
 
 }  // namespace lfbt

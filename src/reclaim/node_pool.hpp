@@ -1,20 +1,44 @@
 // RecyclePool: the QueryNodePool recipe (PR 4, lists/pall.hpp) as a
-// reusable template — a process-wide, EBR-backed free list over immortal
-// slab storage, one instantiation per hot allocation class (query nodes,
-// notify nodes, update nodes, announcement cells).
+// reusable template — an EBR-backed free list over immortal slab
+// storage, fronted by per-thread magazines (Bonwick & Adams, "Magazines
+// and Vmem", USENIX ATC 2001), one instantiation per hot allocation
+// class (query nodes, notify nodes, update nodes, announcement cells).
 //
 // The recipe, restated once here instead of per class:
-//  * acquire() pops the free list under an ebr::Guard (taken internally).
-//    The guard makes the pop ABA-free: a node re-enters the list only
-//    through ebr::retire + a full grace period, which cannot elapse while
-//    the popping thread's guard is live — so the popped node's free-link
-//    is stable for the duration of the compare-exchange.
+//  * Each ThreadRegistry slot owns one magazine per class: a free stack
+//    of plain fields, padded to a cache line and touched only by the
+//    slot's owner. release()'s post-grace deleter pushes onto the
+//    calling thread's magazine; acquire() pops from it first. Neither
+//    takes a shared read-modify-write, nor do the MemStats and
+//    ebr::pending() counts they make (per-slot counters), so in steady
+//    state — a thread reusing what its own EBR sweeps hand back — a
+//    pooled node's acquire/release cycle costs no read-modify-write on
+//    a line all threads share.
+//  * When a magazine reaches 2 * kSpill nodes, its top kSpill go to the
+//    shared Treiber list in one chain CAS. When it is empty, acquire()
+//    pops ONE node from the shared list under an ebr::Guard (taken
+//    internally) and hands it straight to the caller; only then does it
+//    carve fresh slab space. Magazines stay with their slot when a
+//    thread exits, and the next thread to claim the slot inherits them,
+//    so fewer than 2 * kSpill nodes per slot per class are held back and
+//    no thread-exit hook is needed.
+//  * The ABA rule the shared pop relies on: a node re-enters the shared
+//    list only after a grace period that began after it was last popped
+//    from that list. A popper reads head == n and n's free-link inside
+//    its guard; any later pop-and-return of n runs through ebr::retire +
+//    a full grace period, which cannot elapse while that guard is live,
+//    so the popper's compare-exchange never sees n come back with a
+//    different link. Magazines keep the rule because a node enters one
+//    only from a post-grace deleter (after its last pop), and a spill
+//    pushes only magazine nodes. That is also why acquire() never
+//    refills a magazine from the shared list: a later spill could push
+//    those nodes back with no grace period in between.
 //  * release() requires the node to be *physically detached* from every
 //    shared structure (list unlinks completed, no new references
 //    creatable). The grace period then outlasts every thread that could
 //    still hold a stale reference from an older traversal. There is
 //    deliberately no push-without-grace: an immediate re-push would
-//    reintroduce the ABA window acquire() relies on being closed.
+//    reopen the ABA window above.
 //  * Recycled nodes are handed back with stale fields; the caller resets
 //    them individually (never destroy + placement-new, which would end
 //    and restart atomic members' lifetimes with non-atomic stores while a
@@ -36,13 +60,16 @@
 //   };
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 
 #include "reclaim/mem_stats.hpp"
 #include "sync/cacheline.hpp"
 #include "sync/ebr.hpp"
+#include "sync/thread_registry.hpp"
 
 namespace lfbt::reclaim {
 
@@ -51,14 +78,26 @@ class RecyclePool {
  public:
   using Node = typename Traits::Node;
 
+  /// Spill batch: a magazine that reaches 2 * kSpill nodes moves kSpill
+  /// of them to the shared list, so it holds at most 2 * kSpill - 1.
+  static constexpr std::uint32_t kSpill = 64;
+
   struct Acquired {
     Node* node;
     bool recycled;  // true => fields are stale, caller must reset them
   };
 
-  /// Pop a recycled node or carve + blank-construct a fresh one. Safe
-  /// with or without an enclosing ebr::Guard (takes its own).
+  /// Pop a recycled node (own magazine, else one from the shared list)
+  /// or carve + blank-construct a fresh one. Safe with or without an
+  /// enclosing ebr::Guard (the shared pop takes its own).
   static Acquired acquire() {
+    Magazine& m = magazine();
+    if (Node* n = m.top) {
+      m.top = Traits::free_link(n);
+      --m.count;
+      MemStats::on_acquire(Traits::kClass, /*recycled=*/true);
+      return {n, true};
+    }
     {
       ebr::Guard g;
       Node* n = free_head().load(std::memory_order_acquire);
@@ -78,16 +117,16 @@ class RecyclePool {
     return {static_cast<Node*>(storage), false};
   }
 
-  /// Hand a detached node to EBR; it rejoins the free list after the
-  /// grace period. Also the right call for acquired-but-never-published
-  /// nodes (CAS losers): the extra grace period costs nothing and keeps
-  /// every path ABA-safe.
+  /// Hand a detached node to EBR; after the grace period it joins the
+  /// magazine of the thread that runs the deleter. Also the right call
+  /// for acquired-but-never-published nodes (CAS losers): the extra grace
+  /// period costs nothing and keeps every path ABA-safe.
   static void release(Node* n) {
     MemStats::on_release(Traits::kClass);
     ebr::retire(n, [](void* p) { push_free(static_cast<Node*>(p)); });
   }
 
-  /// Push a node straight onto the free list, skipping release()'s
+  /// Push a node straight onto the magazine, skipping release()'s
   /// ebr::retire. Only legal from a context that is itself past a grace
   /// period for the node (an ebr deleter of a retire that followed the
   /// node's detachment) — callers who composed extra teardown work into
@@ -112,6 +151,15 @@ class RecyclePool {
     std::atomic<std::size_t> used{0};
     std::size_t payload;
     alignas(std::max_align_t) char data[1];  // flexible tail
+  };
+
+  // Owner-only free stack of one ThreadRegistry slot (see the recipe).
+  // `spill_tail` is the node at depth kSpill + 1 from the bottom, valid
+  // while count > kSpill: the top kSpill nodes run from `top` to it.
+  struct Magazine {
+    Node* top = nullptr;
+    Node* spill_tail = nullptr;
+    std::uint32_t count = 0;
   };
 
   static void* carve() {
@@ -154,10 +202,27 @@ class RecyclePool {
   }
 
   static void push_free(Node* n) {
+    Magazine& m = magazine();
+    Traits::set_free_link(n, m.top);
+    m.top = n;
+    if (++m.count == kSpill + 1) {
+      m.spill_tail = n;
+    } else if (m.count == 2 * kSpill) {
+      spill(m);
+    }
+  }
+
+  /// Moves the magazine's top kSpill nodes onto the shared list in one
+  /// chain CAS. A push needs no guard: a Treiber push is ABA-safe.
+  static void spill(Magazine& m) {
+    Node* first = m.top;
+    Node* last = m.spill_tail;
+    m.top = Traits::free_link(last);
+    m.count -= kSpill;
     Node* head = free_head().load(std::memory_order_relaxed);
     do {
-      Traits::set_free_link(n, head);
-    } while (!free_head().compare_exchange_weak(head, n,
+      Traits::set_free_link(last, head);
+    } while (!free_head().compare_exchange_weak(head, first,
                                                 std::memory_order_release,
                                                 std::memory_order_relaxed));
   }
@@ -170,6 +235,10 @@ class RecyclePool {
     };
     static P p;
     return p.v;
+  }
+  static Magazine& magazine() noexcept {
+    static std::array<Padded<Magazine>, kMaxThreads> mags{};
+    return mags[ThreadRegistry::id()].value;
   }
   static std::atomic<Slab*>& slab() noexcept {
     struct P {

@@ -37,11 +37,21 @@ struct alignas(kCacheLine) ThreadState {  // owner-thread only
   int since_collect = 0;
   bool sweeping = false;
   std::vector<Retired> limbo;
+  // This slot's share of pending(): retirements it made minus deleters
+  // it ran. Only the owner writes it, by a relaxed load and store (no
+  // shared read-modify-write per retire or free); pending() sums the
+  // slots. drain_unsafe() counts the deleters it runs from other slots'
+  // limbo on the calling thread's own slot, so a slot may read negative.
+  std::atomic<int64_t> pending{0};
 };
 
 std::atomic<uint64_t> g_epoch{1};
 std::array<ThreadState, kMaxThreads> g_threads;
-std::atomic<std::size_t> g_pending{0};
+
+void add_pending(ThreadState& ts, int64_t n) {
+  ts.pending.store(ts.pending.load(std::memory_order_relaxed) + n,
+                   std::memory_order_relaxed);
+}
 
 ThreadState& self() { return g_threads[ThreadRegistry::id()]; }
 
@@ -82,16 +92,18 @@ void sweep(ThreadState& ts) {
   // the grace period airtight).
   const uint64_t safe_before = min_announced();
   std::size_t kept = 0;
+  int64_t freed = 0;
   for (std::size_t i = 0; i < ts.limbo.size(); ++i) {
     Retired r = ts.limbo[i];  // by value: deleters may reallocate limbo
     if (r.epoch + 2 <= safe_before) {
       r.deleter(r.ptr);
-      g_pending.fetch_sub(1, std::memory_order_relaxed);
+      ++freed;
     } else {
       ts.limbo[kept++] = r;
     }
   }
   ts.limbo.resize(kept);
+  add_pending(ts, -freed);
   ts.sweeping = false;
 }
 
@@ -116,7 +128,7 @@ Guard::~Guard() {
 void retire(void* ptr, void (*deleter)(void*)) {
   ThreadState& ts = self();
   ts.limbo.push_back({ptr, deleter, g_epoch.load(std::memory_order_acquire)});
-  g_pending.fetch_add(1, std::memory_order_relaxed);
+  add_pending(ts, 1);
   if (++ts.since_collect >= kCollectEvery) {
     ts.since_collect = 0;
     collect();
@@ -132,6 +144,7 @@ void drain_unsafe() {
   // Deleters may retire more work (composed teardown; see sweep) — it
   // lands in the CALLING thread's limbo, which may already have been
   // visited. Swap batches out and loop until every list stays empty.
+  ThreadState& me = self();
   bool again = true;
   while (again) {
     again = false;
@@ -140,15 +153,20 @@ void drain_unsafe() {
         again = true;
         std::vector<Retired> batch;
         batch.swap(ts.limbo);
-        for (Retired& r : batch) {
-          r.deleter(r.ptr);
-          g_pending.fetch_sub(1, std::memory_order_relaxed);
-        }
+        for (Retired& r : batch) r.deleter(r.ptr);
+        add_pending(me, -static_cast<int64_t>(batch.size()));
       }
     }
   }
 }
 
-std::size_t pending() { return g_pending.load(std::memory_order_relaxed); }
+std::size_t pending() {
+  int64_t sum = 0;
+  const int n = ThreadRegistry::high_water();
+  for (int i = 0; i < n; ++i) {
+    sum += g_threads[i].pending.load(std::memory_order_relaxed);
+  }
+  return sum > 0 ? static_cast<std::size_t>(sum) : 0;
+}
 
 }  // namespace lfbt::ebr

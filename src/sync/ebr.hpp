@@ -55,7 +55,9 @@ void collect();
 /// exist (e.g. test teardown after joining all threads).
 void drain_unsafe();
 
-/// Number of nodes currently awaiting reclamation (approximate).
+/// Number of nodes currently awaiting reclamation: the per-slot counts
+/// of retirements minus deleters run, summed. Exact while no thread
+/// retires or frees; approximate while they do.
 std::size_t pending();
 
 }  // namespace lfbt::ebr

@@ -1,9 +1,10 @@
 // Process-wide registry handing out small dense thread ids.
 //
 // Lock-free structures need a bounded per-thread slot (arena chunks, EBR
-// epochs, stats). Slots are recycled when threads exit, so long test runs
-// that spawn thousands of short-lived threads stay within kMaxThreads
-// concurrently-live slots.
+// epochs, stats, pool magazines). Slots are recycled when threads exit,
+// so long test runs that spawn thousands of short-lived threads stay
+// within kMaxThreads concurrently-live slots; per-slot state (EBR limbo,
+// magazines, counters) passes to the next thread that claims the slot.
 //
 // Layout note (E16 false-sharing audit, recorded in docs/EXPERIMENTS.md):
 // the claim words are PaddedAtomic<bool>, one cache line each — a slot
