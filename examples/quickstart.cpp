@@ -4,7 +4,7 @@
 //
 // Shows: construction over a universe, insert/erase/contains/predecessor
 // from one thread, then the same API shared by multiple threads with no
-// external synchronisation.
+// external synchronisation. Exits 1 if the final "expect" check fails.
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -46,9 +46,13 @@ int main() {
   for (auto& t : writers) t.join();
   reader.join();
 
-  std::printf("final predecessor(2^14) = %ld (expect %d)\n",
-              static_cast<long>(set.predecessor(lfbt::Key{1} << 14)),
+  const long final_pred = static_cast<long>(set.predecessor(lfbt::Key{1} << 14));
+  std::printf("final predecessor(2^14) = %ld (expect %d)\n", final_pred,
               (1 << 14) - 1);
+  if (final_pred != (1 << 14) - 1) {
+    std::printf("ERROR: final predecessor is not the largest inserted key\n");
+    return 1;
+  }
   std::printf("quickstart done\n");
   return 0;
 }

@@ -6,7 +6,8 @@
 // shards, cross-shard predecessor/successor queries, bounded ascending
 // range scans, size()/empty(), and many threads hammering
 // disjoint-by-chance keys with no external synchronisation — the same
-// OrderedSet API as every other structure in the repository.
+// OrderedSet API as every other structure in the repository. Exits 1 if
+// a final "expect" check fails.
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -17,7 +18,8 @@
 int main() {
   // A dynamic set over {0, ..., 2^16 - 1}, partitioned into 8 shards of
   // width 2^13. Each shard is an independent LockFreeBinaryTrie with its
-  // own arena and announcement lists — no shared contended cache lines.
+  // own trie arrays and announcement lists — no shared contended cache
+  // lines.
   lfbt::ShardedTrie set(lfbt::Key{1} << 16, /*shards=*/8);
   std::printf("universe=%ld shards=%d width=%ld\n",
               static_cast<long>(set.universe()), set.shard_count(),
@@ -71,10 +73,15 @@ int main() {
   for (auto& t : writers) t.join();
   reader.join();
 
-  std::printf("final predecessor(2^15) = %ld (expect %d)\n",
-              static_cast<long>(set.predecessor(lfbt::Key{1} << 15)),
+  const long final_pred = static_cast<long>(set.predecessor(lfbt::Key{1} << 15));
+  const std::size_t final_size = set.size();
+  std::printf("final predecessor(2^15) = %ld (expect %d)\n", final_pred,
               (1 << 15) - 1);
-  std::printf("final size = %zu (expect >= %d)\n", set.size(), 1 << 15);
+  std::printf("final size = %zu (expect >= %d)\n", final_size, 1 << 15);
+  if (final_pred != (1 << 15) - 1 || final_size < (std::size_t{1} << 15)) {
+    std::printf("ERROR: a final check above does not hold\n");
+    return 1;
+  }
   std::printf("sharded quickstart done\n");
   return 0;
 }

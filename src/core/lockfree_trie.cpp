@@ -65,7 +65,7 @@ void accept_notification(const NotifyNode* nn, int side, DirScratch& ds) {
 }  // namespace
 
 LockFreeBinaryTrie::LockFreeBinaryTrie(Key universe)
-    : core_(universe, arena_),
+    : core_(universe),
       lists_{AnnounceList(kPredSide), AnnounceList(kSuccSide)} {}
 
 LockFreeBinaryTrie::~LockFreeBinaryTrie() {
@@ -157,8 +157,8 @@ bool LockFreeBinaryTrie::insert_op(Key x) {
   // (if a newer delete already claimed the latest slot) this op's own
   // node — the superseding-op trigger of that delete may have run before
   // `completed` was set, so the self-check closes the gap.
-  try_retire_update(d_node);
-  try_retire_update(i_node);
+  core_.try_retire_update(d_node);
+  core_.try_retire_update(i_node);
   return true;
 }
 
@@ -220,8 +220,8 @@ bool LockFreeBinaryTrie::erase_op(Key x) {
   retire_query_node(q1.node);                     // l.206
   retire_query_node(q2.node);
   // Reclamation triggers (see insert_op()).
-  try_retire_update(i_node);
-  try_retire_update(d_node);
+  core_.try_retire_update(i_node);
+  core_.try_retire_update(d_node);
   return true;
 }
 

@@ -77,7 +77,7 @@ class LockFreeBinaryTrie {
   explicit LockFreeBinaryTrie(Key universe);
 
   /// Requires quiescence (no concurrent operations), like any container
-  /// destructor. Hands every pooled update node still resident in the
+  /// destructor. Hands every update node still resident in the
   /// trie back to the process-wide pools, so create/destroy churn
   /// reaches a steady-state footprint; only nodes kept alive by stalled
   /// test announcements stay out (a stalled delete's notify lists pin
@@ -157,7 +157,6 @@ class LockFreeBinaryTrie {
   }
   bool empty() const noexcept { return size() == 0; }
 
-  std::size_t memory_reserved() const noexcept { return arena_.bytes_reserved(); }
   TrieCore& core_for_test() noexcept { return core_; }
 
   /// Test-only fault injection: runs insert(x) up to and including its
@@ -223,17 +222,6 @@ class LockFreeBinaryTrie {
     retire_query_announcement(p);
   }
 
-  /// Reclamation trigger: retire `u` once it is provably superseded
-  /// (not first-activated) and its operation completed. Called by the
-  /// superseding op AND by u's own op at its end — between them every
-  /// interleaving is covered, and UpdateNode's state CAS dedups.
-  void try_retire_update(UpdateNode* u) {
-    if (u == nullptr || !u->pooled() || !u->completed.load()) return;
-    if (core_.first_activated(u)) return;
-    retire_update(u);
-  }
-
-  NodeArena arena_;
   TrieCore core_;
   // Per-side position lists: the RU-ALL on kPredSide, the U-ALL on
   // kSuccSide (also the list every update and query helper snapshots).

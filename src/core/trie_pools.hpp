@@ -1,13 +1,12 @@
-// Recycling pools for the full trie's churn-allocated nodes — notify
-// nodes, announcement cells, INS update nodes, DEL update nodes — plus
-// the pin/retire helper verbs the trie and the relaxed core share.
-// Together with QueryNodePool (lists/pall.hpp) these replace every
-// per-operation arena allocation of the lock-free trie; the arena keeps
-// only the bounded populations (materialised latest dummies, relaxed-trie
-// nodes).
+// Recycling pools for the tries' nodes — notify nodes, announcement
+// cells, INS update nodes, DEL update nodes — plus the pin/retire helper
+// verbs both tries and the relaxed core share. Together with
+// QueryNodePool (lists/pall.hpp) these are every node allocator of the
+// tries: the lock-free trie's per-operation nodes, the latest dummies
+// TrieCore materialises and the relaxed trie's update nodes.
 //
-// Lifecycle of a pooled update node:
-//   acquire (pop or carve, fields reset, pooled bit set)
+// Lifecycle of an update node (op node or latest dummy):
+//   acquire (pop or carve, fields reset)
 //   -> published (latest list / dNodePtr / announcements / notify refs)
 //   -> superseded by a newer op on the same key AND completed
 //   -> mark_retired() — triggered by the superseding op, by the node's
@@ -124,7 +123,7 @@ class InsNodePool {
     auto [n, recycled] = Pool::acquire();
     n->key = key;
     if (recycled) reset_update_base(n);
-    n->reclaim.store(UpdateNode::kStateLive | UpdateNode::kPooledBit);
+    n->reclaim.store(UpdateNode::kStateLive);
     return n;
   }
 
@@ -166,7 +165,7 @@ class DelNodePool {
       }
     }
     n->lower1.reset(b + 1);
-    n->reclaim.store(UpdateNode::kStateLive | UpdateNode::kPooledBit);
+    n->reclaim.store(UpdateNode::kStateLive);
     return n;
   }
 
@@ -174,11 +173,8 @@ class DelNodePool {
   static std::size_t allocated_count() { return Pool::allocated_count(); }
 };
 
-/// Route a Released update node back to its pool. Arena-allocated nodes
-/// (latest dummies, relaxed-trie nodes) ran the same state machine but own no
-/// pool storage — their "release" is a no-op and the arena keeps them.
+/// Route a Released update node back to its pool.
 inline void release_update_to_pool(UpdateNode* u) {
-  if (!u->pooled()) return;
   if (u->is_del()) {
     DelNodePool::release(static_cast<DelNode*>(u));
   } else {

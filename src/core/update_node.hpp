@@ -59,20 +59,17 @@ inline bool has_side(QueryDir d, int side) noexcept {
 /// Paper lines 91–104. INS and DEL nodes share a base; DEL-only fields
 /// live in DelNode.
 ///
-/// Reclamation (reclaim/node_pool.hpp, core/trie_pools.hpp): pooled
-/// update nodes carry a packed lifecycle word `reclaim` —
-/// bits [1:0] state (live → retired → released), bit 2 "pooled" (storage
-/// owned by a RecyclePool rather than an arena), bits [63:3] a pin count.
-/// A pin is a reference that outlives EBR guards: one per dNodePtr slot
-/// the node resides in, one per notify node referencing it, one for
-/// being some INS node's `target`. Retirement (supersession +
-/// completion) forbids new pins;
+/// Reclamation (reclaim/node_pool.hpp, core/trie_pools.hpp): every
+/// update node comes from InsNodePool/DelNodePool — op nodes of both
+/// tries and the latest dummies TrieCore materialises — and carries a
+/// packed lifecycle word `reclaim`: bits [1:0] state (live → retired →
+/// released), bits [63:2] a pin count. A pin is a reference that
+/// outlives EBR guards: one per dNodePtr slot the node resides in, one
+/// per notify node referencing it, one for being some INS node's
+/// `target`. Retirement (supersession + completion) forbids new pins;
 /// release fires when a retired node's last pin drops, and always routes
-/// through ebr::retire so guarded readers stay safe. Arena-allocated
-/// nodes (the latest dummies TrieCore materialises for writers, the
-/// relaxed trie's) run the same state machine with the pooled bit clear,
-/// making every transition a harmless no-op. A dNodePtr slot's initial
-/// dummy is null and is never materialised, so it holds no pin.
+/// through ebr::retire so guarded readers stay safe. A dNodePtr slot's
+/// initial dummy is null and is never materialised, so it holds no pin.
 struct UpdateNode {
   UpdateNode(Key k, NodeType t) : key(k), type(t) {}
 
@@ -115,14 +112,9 @@ struct UpdateNode {
   static constexpr uint64_t kStateRetired = 1;
   static constexpr uint64_t kStateReleased = 2;
   static constexpr uint64_t kStateMask = 3;
-  static constexpr uint64_t kPooledBit = 4;
-  static constexpr uint64_t kPinUnit = 8;
+  static constexpr uint64_t kPinUnit = 4;
 
-  std::atomic<uint64_t> reclaim{0};  // live, unpooled, zero pins
-
-  bool pooled() const noexcept {
-    return (reclaim.load(std::memory_order_relaxed) & kPooledBit) != 0;
-  }
+  std::atomic<uint64_t> reclaim{0};  // live, zero pins
 
   /// Take a pin; fails (without side effect) once the node is retired.
   bool try_pin() noexcept {

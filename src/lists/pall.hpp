@@ -191,8 +191,7 @@ class NotifyList {
 /// nodes are the highest-churn allocation of the query hot path (one per
 /// predecessor/successor, one per embedded fused query of every Delete),
 /// and nothing references them once they leave the P-ALL, so they are
-/// recycled without touching the arena discipline for update nodes and
-/// cells.
+/// recycled without the pins that update nodes need.
 ///
 /// Lifecycle: acquire() (pop or heap-allocate) → announce/use →
 /// PAll::remove_for_reuse (mark + guaranteed physical detach) →

@@ -73,10 +73,6 @@ class MirroredTrie {
   std::size_t size() const noexcept { return inner_.size(); }
   bool empty() const noexcept { return inner_.empty(); }
 
-  std::size_t memory_reserved() const noexcept {
-    return inner_.memory_reserved();
-  }
-
  private:
   Key mirror(Key x) const noexcept { return u_ - 1 - x; }
 

@@ -1,10 +1,10 @@
 // Process-wide memory accounting for the reclamation subsystem.
 //
 // Every pooled allocation class (query nodes, notify nodes, update nodes,
-// announcement cells, arena chunks) reports three monotone event counters
+// announcement cells, batch buffers) reports three monotone event counters
 // plus a byte gauge through this surface:
 //
-//   bytes_reserved  -- slab/chunk bytes drawn from the OS for this class.
+//   bytes_reserved  -- slab bytes drawn from the OS for this class.
 //                      Monotone: recycling means this stops growing, it
 //                      never shrinks (slabs are immortal so that stale
 //                      EBR-protected readers always dereference mapped
@@ -21,7 +21,7 @@
 // ThreadRegistry slot owns one cache-line-aligned row of single-writer
 // relaxed atomics, bumped by a load and a store, so counting an
 // acquisition or a release takes no shared read-modify-write; a snapshot
-// sums the slots. bytes_reserved moves once per slab or chunk, so it
+// sums the slots. bytes_reserved moves once per slab, so it
 // stays one shared atomic per class.
 #pragma once
 
@@ -39,19 +39,17 @@ enum class MemClass : int {
   kNotifyNode = 1,
   kUpdateNode = 2,
   kAnnCell = 3,
-  kArenaChunk = 4,
   // Service-facade batch buffers (serve/batch.hpp): slot rings + the
   // coalescing key table, reserved once per BatchBuffer at construction.
   // BatchBuffer.ReuseKeepsMemoryFlat (tests/test_serve.cpp) asserts this
   // gauge is FLAT across flushes — a drain must never allocate.
-  kBatchSlot = 5,
+  kBatchSlot = 4,
 };
 
-inline constexpr int kNumMemClasses = 6;
+inline constexpr int kNumMemClasses = 5;
 
 inline constexpr const char* kMemClassNames[kNumMemClasses] = {
-    "query_node", "notify_node", "update_node",
-    "ann_cell",   "arena_chunk", "batch_slot"};
+    "query_node", "notify_node", "update_node", "ann_cell", "batch_slot"};
 
 class MemStats {
  public:
@@ -112,7 +110,7 @@ class MemStats {
     return s;
   }
 
-  /// Pool + chunk bytes ever reserved, process-wide. Flat across soak
+  /// Pool bytes ever reserved, process-wide. Flat across soak
   /// windows == the structure reached its steady-state footprint.
   static std::size_t total_reserved() noexcept {
     return snapshot_all().total_reserved();

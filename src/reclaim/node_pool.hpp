@@ -17,11 +17,13 @@
 //  * When a magazine reaches 2 * kSpill nodes, its top kSpill go to the
 //    shared Treiber list in one chain CAS. When it is empty, acquire()
 //    pops ONE node from the shared list under an ebr::Guard (taken
-//    internally) and hands it straight to the caller; only then does it
-//    carve fresh slab space. Magazines stay with their slot when a
-//    thread exits, and the next thread to claim the slot inherits them,
-//    so fewer than 2 * kSpill nodes per slot per class are held back and
-//    no thread-exit hook is needed.
+//    internally, and only when the list is non-empty) and hands it
+//    straight to the caller; only then does it carve fresh slab space.
+//    Carving is per slot too: one slab fetch_add hands the slot kSpill
+//    strides, which it bumps through. Magazines stay with their slot
+//    when a thread exits, and the next thread to claim the slot inherits
+//    them, so fewer than 2 * kSpill nodes per slot per class are held
+//    back and no thread-exit hook is needed.
 //  * The ABA rule the shared pop relies on: a node re-enters the shared
 //    list only after a grace period that began after it was last popped
 //    from that list. A popper reads head == n and n's free-link inside
@@ -60,6 +62,7 @@
 //   };
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -98,7 +101,7 @@ class RecyclePool {
       MemStats::on_acquire(Traits::kClass, /*recycled=*/true);
       return {n, true};
     }
-    {
+    if (free_head().load(std::memory_order_relaxed) != nullptr) {
       ebr::Guard g;
       Node* n = free_head().load(std::memory_order_acquire);
       while (n != nullptr &&
@@ -111,7 +114,7 @@ class RecyclePool {
         return {n, true};
       }
     }
-    void* storage = carve();
+    void* storage = carve(m);
     Traits::construct(storage);
     MemStats::on_acquire(Traits::kClass, /*recycled=*/false);
     return {static_cast<Node*>(storage), false};
@@ -135,9 +138,14 @@ class RecyclePool {
   static void recycle_now(Node* n) { push_free(n); }
 
   /// Nodes ever carved from slabs (== fresh allocations; recycled
-  /// acquisitions don't count). Test observability.
+  /// acquisitions don't count): the per-slot carve counts, summed. Exact
+  /// while no thread carves. Test observability.
   static std::size_t allocated_count() noexcept {
-    return carved().load(std::memory_order_relaxed);
+    std::size_t n = 0;
+    for (const Padded<Magazine>& m : magazines()) {
+      n += m.value.carved.load(std::memory_order_relaxed);
+    }
+    return n;
   }
 
  private:
@@ -156,20 +164,41 @@ class RecyclePool {
   // Owner-only free stack of one ThreadRegistry slot (see the recipe).
   // `spill_tail` is the node at depth kSpill + 1 from the bottom, valid
   // while count > kSpill: the top kSpill nodes run from `top` to it.
+  // [carve_next, carve_end) is the slot's uncarved batch of slab strides;
+  // `carved` counts its carves (single writer, read by allocated_count).
   struct Magazine {
     Node* top = nullptr;
     Node* spill_tail = nullptr;
     std::uint32_t count = 0;
+    char* carve_next = nullptr;
+    char* carve_end = nullptr;
+    std::atomic<std::size_t> carved{0};
   };
 
-  static void* carve() {
+  /// Bump-allocates one stride from the slot's batch, refilling the batch
+  /// with kSpill strides per shared slab fetch_add.
+  static void* carve(Magazine& m) {
+    if (m.carve_next == m.carve_end) refill(m);
+    void* out = m.carve_next;
+    m.carve_next += kStride;
+    m.carved.store(m.carved.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+    return out;
+  }
+
+  static void refill(Magazine& m) {
+    constexpr std::size_t kBatch = kSpill * kStride;
     for (;;) {
       Slab* s = slab().load(std::memory_order_acquire);
       if (s != nullptr) {
-        std::size_t off = s->used.fetch_add(kStride, std::memory_order_relaxed);
+        const std::size_t off =
+            s->used.fetch_add(kBatch, std::memory_order_relaxed);
         if (off + kStride <= s->payload) {
-          carved().fetch_add(1, std::memory_order_relaxed);
-          return s->data + off;
+          // The slab's last batch may be short: keep whole strides only.
+          const std::size_t n = std::min(kBatch, s->payload - off) / kStride;
+          m.carve_next = s->data + off;
+          m.carve_end = m.carve_next + n * kStride;
+          return;
         }
         // Slab exhausted (overshoot of `used` is harmless); install a new
         // one. Losers of the install race re-loop into the winner's slab.
@@ -236,9 +265,12 @@ class RecyclePool {
     static P p;
     return p.v;
   }
-  static Magazine& magazine() noexcept {
+  static std::array<Padded<Magazine>, kMaxThreads>& magazines() noexcept {
     static std::array<Padded<Magazine>, kMaxThreads> mags{};
-    return mags[ThreadRegistry::id()].value;
+    return mags;
+  }
+  static Magazine& magazine() noexcept {
+    return magazines()[ThreadRegistry::id()].value;
   }
   static std::atomic<Slab*>& slab() noexcept {
     struct P {
@@ -249,10 +281,6 @@ class RecyclePool {
   }
   static std::atomic<Slab*>& slabs_all() noexcept {
     static std::atomic<Slab*> v{nullptr};
-    return v;
-  }
-  static std::atomic<std::size_t>& carved() noexcept {
-    static std::atomic<std::size_t> v{0};
     return v;
   }
 };

@@ -10,9 +10,18 @@
 //   * with no concurrent updates it returns the exact predecessor.
 //
 // Progress: every operation is wait-free with O(log u) worst-case steps
-// (contains is O(1)). All nodes are created Active, under which the shared
-// TrieCore helpers degenerate to the Section 4 pseudocode (see
-// trie_core.hpp).
+// (contains is O(1)), apart from node allocation: a pool acquire may CAS
+// on a shared free list or slab. All nodes are created Active, under
+// which the shared TrieCore helpers degenerate to the Section 4
+// pseudocode (see trie_core.hpp).
+//
+// Reclamation: update nodes come from the lock-free trie's pools and
+// follow its retire rule (core/trie_pools.hpp). Every operation holds an
+// ebr::Guard, each update sets `completed` when its bit updates are done
+// and then fires the two retire triggers, and the destructor drains the
+// resident nodes. An erase clears its DEL node's latest_next right after
+// l.55, as the lock-free trie's l.199 does, so no node keeps a reference
+// to a superseded INS node past the erase's guard.
 #pragma once
 
 #include <cassert>
@@ -20,18 +29,23 @@
 #include <vector>
 
 #include "relaxed/trie_core.hpp"
+#include "sync/ebr.hpp"
 
 namespace lfbt {
 
 class RelaxedBinaryTrie {
  public:
-  explicit RelaxedBinaryTrie(Key universe) : core_(universe, arena_) {}
+  explicit RelaxedBinaryTrie(Key universe) : core_(universe) {}
+
+  /// Requires quiescence, like any container destructor.
+  ~RelaxedBinaryTrie() { core_.drain_resident_for_destruction(); }
 
   Key universe() const noexcept { return core_.universe(); }
 
   /// Paper TrieSearch (l.15–18). O(1) worst case.
   bool contains(Key x) {
     assert(x >= 0 && x < core_.universe());
+    ebr::Guard guard;
     UpdateNode* n = core_.peek_latest(x);
     return n != nullptr && n->type == NodeType::kIns;
   }
@@ -39,38 +53,54 @@ class RelaxedBinaryTrie {
   /// Paper TrieInsert (l.28–37).
   void insert(Key x) {
     assert(x >= 0 && x < core_.universe());
+    ebr::Guard guard;
     UpdateNode* d_node = core_.find_latest(x);
     if (d_node->type != NodeType::kDel) return;  // x already in S
-    auto* i_node = arena_.create<UpdateNode>(x, NodeType::kIns);
+    UpdateNode* i_node = InsNodePool::acquire(x);
     i_node->status.store(UpdateNode::kActive, std::memory_order_relaxed);
     // l.34: stop the Delete the previous Insert was racing (ignore ⊥s).
     if (UpdateNode* ln = d_node->latest_next.load()) {
       if (DelNode* tg = ln->target.load()) tg->stop.store(true);
     }
-    if (!core_.cas_latest(x, d_node, i_node)) return;  // someone else added x
+    if (!core_.cas_latest(x, d_node, i_node)) {  // someone else added x
+      retire_unpublished(i_node);
+      return;
+    }
     core_.insert_binary_trie(i_node);
+    i_node->completed.store(true);
+    core_.try_retire_update(d_node);
+    core_.try_retire_update(i_node);
   }
 
   /// Paper TrieDelete (l.47–57).
   void erase(Key x) {
     assert(x >= 0 && x < core_.universe());
+    ebr::Guard guard;
     UpdateNode* i_node = core_.peek_latest(x);
     if (i_node == nullptr || i_node->type != NodeType::kIns) {
       return;  // x not in S
     }
-    auto* d_node = arena_.create<DelNode>(x, core_.b());
+    DelNode* d_node = DelNodePool::acquire(x, core_.b());
     d_node->status.store(UpdateNode::kActive, std::memory_order_relaxed);
     d_node->latest_next.store(i_node);
-    if (!core_.cas_latest(x, i_node, d_node)) return;  // someone else removed x
+    if (!core_.cas_latest(x, i_node, d_node)) {  // someone else removed x
+      retire_unpublished(d_node);
+      return;
+    }
     // l.55: stop the Delete targeted by the Insert we just superseded.
     if (DelNode* tg = i_node->target.load()) tg->stop.store(true);
+    d_node->latest_next.store(nullptr);  // as the lock-free trie's l.199
     core_.delete_binary_trie(d_node);
+    d_node->completed.store(true);
+    core_.try_retire_update(i_node);
+    core_.try_retire_update(d_node);
   }
 
   /// Paper RelaxedPredecessor (l.73–90): largest key < y, kNoKey (-1), or
   /// kBottom (⊥) under interference. y in [0, universe()].
   Key relaxed_predecessor(Key y) {
     assert(y >= 0 && y <= core_.universe());
+    ebr::Guard guard;
     return core_.relaxed_predecessor(y);
   }
 
@@ -78,6 +108,7 @@ class RelaxedBinaryTrie {
   /// [-1, universe()). Mirror image of relaxed_predecessor.
   Key relaxed_successor(Key y) {
     assert(y >= -1 && y < core_.universe());
+    ebr::Guard guard;
     return core_.relaxed_successor(y);
   }
 
@@ -115,10 +146,7 @@ class RelaxedBinaryTrie {
 
   TrieCore& core_for_test() noexcept { return core_; }
 
-  std::size_t memory_reserved() const noexcept { return arena_.bytes_reserved(); }
-
  private:
-  NodeArena arena_;
   TrieCore core_;
 };
 

@@ -22,13 +22,15 @@
 // interpreted_bit reads that as bit 0. dNodePtr slots are never
 // materialised — their dummy is only used for its key and CAS identity,
 // so delete_binary_trie CASes from null. A latest[x] dummy is materialised
-// (a CAS from null, in the arena) only by the two writers that need a real
-// node: an insert, whose CAS needs an expected node and whose l.167
-// latest_next needs a target, and insert_binary_trie, whose min-write to
-// the dummy's lower1 is real state. A materialised dummy is semantically
-// an "older than everything" DEL node, exactly the initial state. Slots
-// never return to null, so every CAS stays ABA-free. Soundness of reading
-// null as the dummy: docs/DESIGN.md, "Relaxed trie".
+// (a DelNodePool node, CASed in from null) only by the two writers that
+// need a real node: an insert, whose CAS needs an expected node and whose
+// l.167 latest_next needs a target, and insert_binary_trie, whose
+// min-write to the dummy's lower1 is real state. A materialised dummy is
+// semantically an "older than everything" DEL node, exactly the initial
+// state, and is retired like any completed DEL node once an insert
+// supersedes it. Slots never return to null, and a node returns to its
+// pool only after a grace period, so every CAS stays ABA-free. Soundness
+// of reading null as the dummy: docs/DESIGN.md, "Relaxed trie".
 #pragma once
 
 #include <atomic>
@@ -40,7 +42,6 @@
 #include "core/trie_pools.hpp"
 #include "core/types.hpp"
 #include "core/update_node.hpp"
-#include "sync/arena.hpp"
 #include "sync/stats.hpp"
 
 namespace lfbt {
@@ -48,12 +49,11 @@ namespace lfbt {
 class TrieCore {
  public:
   /// `universe` = u; keys are {0..u-1}. b = ceil(log2 max(u,2)).
-  TrieCore(Key universe, NodeArena& arena)
+  explicit TrieCore(Key universe)
       : u_(universe),
         b_(static_cast<uint32_t>(std::bit_width(
             static_cast<uint64_t>(universe < 2 ? 2 : universe) - 1))),
         leaf_base_(uint64_t{1} << b_),
-        arena_(&arena),
         latest_(new std::atomic<UpdateNode*>[leaf_base_]()),
         dnodeptr_(new std::atomic<DelNode*>[leaf_base_]()) {
     assert(universe >= 1);
@@ -229,24 +229,33 @@ class TrieCore {
     return quiescent_bit_reference(2 * t) || quiescent_bit_reference(2 * t + 1);
   }
 
-  NodeArena& arena() noexcept { return *arena_; }
+  /// Reclamation trigger: retire `u` once it is provably superseded
+  /// (not first-activated) and its operation completed. Called by the
+  /// superseding op AND by u's own op at its end — between them every
+  /// interleaving is covered, and UpdateNode's state CAS dedups. A latest
+  /// dummy is born completed and has no op of its own: the insert that
+  /// supersedes it retires it.
+  void try_retire_update(UpdateNode* u) {
+    if (!u->completed.load() || first_activated(u)) return;
+    retire_update(u);
+  }
 
   /// Destruction-time drain (owner's destructor, trie quiescent by
-  /// contract): retire every pooled update node still resident in the
-  /// latest lists and drop each dNodePtr slot's residency pin, so trie
+  /// contract): retire every update node still resident in the latest
+  /// lists and drop each dNodePtr slot's residency pin, so trie
   /// create/destroy churn reaches a steady state instead of growing the
   /// pools by each dead trie's resident set. A node is released only
   /// when its last pin drops. Notify nodes of query announcements whose
   /// EBR drain is still queued on some thread's limbo list hold pins that
   /// the drain drops later — possibly after this trie is gone — so
   /// releasing a pinned node here would let that late unpin hit a
-  /// recycled node. Arena nodes (dummies) are not pooled and stay put.
+  /// recycled node.
   void drain_resident_for_destruction() {
     for (uint64_t x = 0; x < static_cast<uint64_t>(u_); ++x) {
       UpdateNode* u = latest_[x].load(std::memory_order_relaxed);
       while (u != nullptr) {
         UpdateNode* next = u->latest_next.load(std::memory_order_relaxed);
-        if (u->pooled()) retire_update(u);
+        retire_update(u);
         u = next;
       }
     }
@@ -314,6 +323,7 @@ class TrieCore {
       Stats::count_cas(true);
       return d;
     }
+    retire_unpublished(d);  // lost the install race to another writer
     return expected;
   }
 
@@ -350,7 +360,7 @@ class TrieCore {
   /// A dummy DEL node: Active, completed, interpreted bit 0 at every
   /// height (upper0 = b, lower1 = b+1).
   DelNode* make_dummy(Key x) {
-    DelNode* d = arena_->create<DelNode>(x, b_);
+    DelNode* d = DelNodePool::acquire(x, b_);
     d->status.store(UpdateNode::kActive, std::memory_order_relaxed);
     d->completed.store(true, std::memory_order_relaxed);
     d->upper0.store(b_, std::memory_order_relaxed);
@@ -360,7 +370,6 @@ class TrieCore {
   const Key u_;
   const uint32_t b_;
   const uint64_t leaf_base_;
-  NodeArena* arena_;
   std::unique_ptr<std::atomic<UpdateNode*>[]> latest_;
   std::unique_ptr<std::atomic<DelNode*>[]> dnodeptr_;
 };

@@ -67,10 +67,11 @@ concept AtomicScanOrderedSet =
     };
 
 /// An OrderedSet that reports the bytes it has reserved from the OS
-/// (arena + any structure-owned slabs). Process-wide pooled classes are
-/// NOT attributed here — they are shared across instances and reported
-/// through Stats::memory() (reclaim/mem_stats.hpp); the soak harness
-/// (workload/soak.hpp) watches both gauges.
+/// itself (the compressed trie's nodes). Process-wide pooled classes —
+/// every node of the binary tries — are NOT attributed here: they are
+/// shared across instances and reported through Stats::memory()
+/// (reclaim/mem_stats.hpp). ShardedTrie's memory_reserved() is a stub
+/// that returns 0.
 template <class S>
 concept MemoryReportingOrderedSet = OrderedSet<S> && requires(const S s) {
   { s.memory_reserved() } -> std::convertible_to<std::size_t>;

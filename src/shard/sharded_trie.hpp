@@ -1,10 +1,11 @@
 // ShardedTrie: horizontal partitioning of the paper's lock-free binary
 // trie. Construction splits the universe U = {0..u-1} into S contiguous
 // fixed-width ranges, each backed by a fully independent
-// LockFreeBinaryTrie — its own NodeArena, its own U-ALL/RU-ALL/P-ALL
-// announcement lists — so shards share no contended cache lines and each
-// shard's O(log u) update paths shrink to O(log width). Key x routes to
-// shard x / width; the geometry never changes.
+// LockFreeBinaryTrie — its own latest/dNodePtr arrays, its own
+// U-ALL/RU-ALL/P-ALL announcement lists — so shards share no contended
+// cache lines and each shard's O(log u) update paths shrink to
+// O(log width). Key x routes to shard x / width; the geometry never
+// changes.
 //
 // Linearizability, in brief (full arguments: docs/DESIGN.md "Shard
 // layer" and "Atomic scans"):
@@ -36,9 +37,9 @@ namespace lfbt {
 class ShardedTrie {
  public:
   static constexpr int kDefaultShards = 8;
-  /// Hard cap on shards, matched to NodeArena's per-thread cursor
-  /// capacity (kSlotsPerThread = 64; one arena per shard). Construction
-  /// requests above the cap are clamped (width grows).
+  /// Hard cap on shards: the size of the per-shard epoch arrays a walk
+  /// and a validated scan keep on the stack. Construction requests above
+  /// the cap are clamped (width grows).
   static constexpr int kMaxShards = 64;
 
   explicit ShardedTrie(Key universe, int shards = kDefaultShards)
@@ -163,12 +164,9 @@ class ShardedTrie {
   }
   bool empty() const { return size() == 0; }
 
-  /// Arena bytes across every shard.
-  std::size_t memory_reserved() const {
-    std::size_t n = 0;
-    for (int s = 0; s < n_; ++s) n += shards_[s].trie->memory_reserved();
-    return n;
-  }
+  /// Always 0: every node comes from the process-wide pools, which
+  /// MemStats reports.
+  std::size_t memory_reserved() const noexcept { return 0; }
 
  private:
   /// One range's backing store: global key x lives at local key x - base

@@ -6,14 +6,13 @@
 // has observed a later epoch (two epoch advances = grace period).
 //
 // Used by the compressed trie to run with bounded memory, and by the
-// trie's recycling pools: query, notify and INS/DEL update nodes
-// (lists/pall.hpp, core/trie_pools.hpp) rejoin their free lists only
-// after a grace period, announcement cells (lists/announce_list.hpp)
-// after two chained ones, and every trie operation holds a Guard.
-// Update nodes additionally carry pins for the references the paper's
-// algorithm keeps past a guard (dNodePtr, notify chains, INS targets).
-// The arena keeps only the bounded populations (the latest dummies that
-// inserts materialise, and relaxed-trie nodes).
+// tries' recycling pools: query, notify and INS/DEL update nodes
+// (lists/pall.hpp, core/trie_pools.hpp; the latest dummies and the
+// relaxed trie's nodes included) rejoin their free lists only after a
+// grace period, announcement cells (lists/announce_list.hpp) after two
+// chained ones, and every trie operation holds a Guard. Update nodes
+// additionally carry pins for the references the paper's algorithm keeps
+// past a guard (dNodePtr, notify chains, INS targets).
 //
 // Layout note (E16 false-sharing audit, recorded in docs/EXPERIMENTS.md):
 // per-thread announce words are a PaddedAtomic array separate from the

@@ -97,7 +97,7 @@ class Stats {
   /// harnesses that record it next to their results.
   static constexpr bool enabled() { return true; }
 
-  /// Process-wide memory-class counters (pool/arena bytes, recycle hit
+  /// Process-wide memory-class counters (pool bytes, recycle hit
   /// rates).
   static MemStats::Snapshot memory() { return MemStats::snapshot_all(); }
 

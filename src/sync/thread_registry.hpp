@@ -1,7 +1,7 @@
 // Process-wide registry handing out small dense thread ids.
 //
-// Lock-free structures need a bounded per-thread slot (arena chunks, EBR
-// epochs, stats, pool magazines). Slots are recycled when threads exit,
+// Lock-free structures need a bounded per-thread slot (EBR epochs,
+// stats, pool magazines and carve batches). Slots are recycled when threads exit,
 // so long test runs that spawn thousands of short-lived threads stay
 // within kMaxThreads concurrently-live slots; per-slot state (EBR limbo,
 // magazines, counters) passes to the next thread that claims the slot.

@@ -1,7 +1,7 @@
 // Benchmark harness: runs an operation mix against any set type with a
 // fixed per-thread operation count, measuring throughput, per-op latency
 // percentiles (sampled) and instrumentation counters. Op counts are fixed
-// (not time-targeted) so arena-backed structures run in bounded memory.
+// (not time-targeted) so a run's work, and its memory, is fixed up front.
 // Closed loop: each worker calls the set directly and issues its next op
 // as soon as the previous one returns. It drives the soak tests
 // (workload/soak.hpp) and examples/workbench; the benchmark of record is

@@ -1,8 +1,8 @@
 // Churn-soak harness: drives a sustained update-heavy workload against a
 // structure in fixed-size windows and samples the memory picture after
-// each one — the per-structure arena footprint (memory_reserved()) and
-// the process-wide pooled-class footprint (reclaim/mem_stats.hpp via
-// Stats::memory()).
+// each one — the structure's own footprint (memory_reserved(), where
+// the structure reports one) and the process-wide pooled-class
+// footprint (reclaim/mem_stats.hpp via Stats::memory()).
 //
 // The property under test (Reclaim.ChurnSoakSmokeTailIsFlat): with the
 // reclaim subsystem in place, churn reaches a STEADY STATE — after a warm-up

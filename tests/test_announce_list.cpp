@@ -9,7 +9,6 @@
 
 #include "core/trie_pools.hpp"
 #include "reclaim/mem_stats.hpp"
-#include "sync/arena.hpp"
 #include "sync/random.hpp"
 
 namespace lfbt {
@@ -27,8 +26,13 @@ struct Lists {
   }
 };
 
-UpdateNode* make_node(NodeArena& arena, Key k, bool active = true) {
-  auto* n = arena.create<UpdateNode>(k, NodeType::kIns);
+/// Test-owned update nodes: the lists never free the nodes they
+/// announce, so each test keeps its nodes until it ends. A deque keeps
+/// them in place as it grows.
+using NodeStore = std::deque<UpdateNode>;
+
+UpdateNode* make_node(NodeStore& nodes, Key k, bool active = true) {
+  UpdateNode* n = &nodes.emplace_back(k, NodeType::kIns);
   if (active) n->status.store(UpdateNode::kActive);
   return n;
 }
@@ -73,28 +77,28 @@ void wait_for(const std::atomic<int>& phase, int at_least) {
 }
 
 TEST(AnnounceList, AscendingInsertKeepsSortedOrder) {
-  NodeArena arena;
+  NodeStore nodes;
   Lists lists;
-  for (Key k : {5, 1, 9, 3, 7}) lists.uall.insert(make_node(arena, k));
+  for (Key k : {5, 1, 9, 3, 7}) lists.uall.insert(make_node(nodes, k));
   EXPECT_EQ(visible_keys(lists.uall), (std::vector<Key>{1, 3, 5, 7, 9}));
 }
 
 TEST(AnnounceList, DescendingInsertKeepsReverseOrder) {
-  NodeArena arena;
+  NodeStore nodes;
   Lists lists;
-  for (Key k : {5, 1, 9, 3, 7}) lists.ruall.insert(make_node(arena, k));
+  for (Key k : {5, 1, 9, 3, 7}) lists.ruall.insert(make_node(nodes, k));
   EXPECT_EQ(visible_keys(lists.ruall), (std::vector<Key>{9, 7, 5, 3, 1}));
 }
 
 TEST(AnnounceList, EqualKeysOrderedByInsertionTime) {
   // The paper: a node is added *after* every node with the same key (both
   // lists), giving insertion order among equals.
-  NodeArena arena;
+  NodeStore nodes;
   Lists lists;
   AnnounceList& asc = lists.uall;
   AnnounceList& desc = lists.ruall;
-  UpdateNode* first = make_node(arena, 4);
-  UpdateNode* second = make_node(arena, 4);
+  UpdateNode* first = make_node(nodes, 4);
+  UpdateNode* second = make_node(nodes, 4);
   asc.insert(first);
   asc.insert(second);
   EXPECT_EQ(asc.next_visible(asc.head())->node, first);
@@ -104,11 +108,11 @@ TEST(AnnounceList, EqualKeysOrderedByInsertionTime) {
 }
 
 TEST(AnnounceList, RemoveHidesNode) {
-  NodeArena arena;
+  NodeStore nodes;
   Lists lists;
   AnnounceList& list = lists.uall;
-  UpdateNode* a = make_node(arena, 1);
-  UpdateNode* b = make_node(arena, 2);
+  UpdateNode* a = make_node(nodes, 1);
+  UpdateNode* b = make_node(nodes, 2);
   list.insert(a);
   list.insert(b);
   list.remove(a);
@@ -118,10 +122,10 @@ TEST(AnnounceList, RemoveHidesNode) {
 }
 
 TEST(AnnounceList, RemoveIsIdempotent) {
-  NodeArena arena;
+  NodeStore nodes;
   Lists lists;
   AnnounceList& list = lists.uall;
-  UpdateNode* a = make_node(arena, 1);
+  UpdateNode* a = make_node(nodes, 1);
   list.insert(a);
   list.remove(a);
   list.remove(a);  // helper + owner both retract
@@ -132,10 +136,10 @@ TEST(AnnounceList, MultiHelperInsertYieldsOneVisibleAnnouncement) {
   // HelpActivate means several threads may announce the SAME node. Exactly
   // one cell may ever be visible, no matter the interleaving.
   for (int round = 0; round < 100; ++round) {
-    NodeArena arena;
+    NodeStore nodes;
     Lists lists;
     AnnounceList& list = lists.uall;
-    UpdateNode* n = make_node(arena, 42);
+    UpdateNode* n = make_node(nodes, 42);
     constexpr int kHelpers = 6;
     std::vector<std::thread> ts;
     std::atomic<bool> go{false};
@@ -161,10 +165,10 @@ TEST(AnnounceList, SpuriousCellsAreNeverVisibleAfterRemove) {
   // Insert with racing helpers, then remove; re-traversals must never
   // resurrect the node (the canonicity filter).
   for (int round = 0; round < 50; ++round) {
-    NodeArena arena;
+    NodeStore nodes;
     Lists lists;
     AnnounceList& list = lists.uall;
-    UpdateNode* n = make_node(arena, 7);
+    UpdateNode* n = make_node(nodes, 7);
     std::atomic<bool> go{false};
     std::thread helper([&] {
       while (!go.load()) {
@@ -182,16 +186,16 @@ TEST(AnnounceList, SpuriousCellsAreNeverVisibleAfterRemove) {
 }
 
 TEST(AnnounceList, ConcurrentInsertRemoveStress) {
-  NodeArena arena;
-  Lists lists;
-  AnnounceList& list = lists.uall;
   constexpr int kThreads = 4;
   constexpr int kOps = 3000;
+  std::vector<NodeStore> nodes(kThreads);
+  Lists lists;
+  AnnounceList& list = lists.uall;
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
     ts.emplace_back([&, t] {
       for (int i = 0; i < kOps; ++i) {
-        UpdateNode* n = make_node(arena, (t * kOps + i) % 97);
+        UpdateNode* n = make_node(nodes[t], (t * kOps + i) % 97);
         list.insert(n);
         if (i % 2 == 0) list.remove(n);
       }
@@ -205,10 +209,10 @@ TEST(AnnounceList, ConcurrentInsertRemoveStress) {
 }
 
 TEST(AnnounceList, NextWordExposesTraversableChain) {
-  NodeArena arena;
+  NodeStore nodes;
   Lists lists;
   AnnounceList& list = lists.ruall;
-  for (Key k : {3, 1, 2}) list.insert(make_node(arena, k));
+  for (Key k : {3, 1, 2}) list.insert(make_node(nodes, k));
   // Walk raw next words like the RU-ALL traversal does.
   AnnCell* c = list.head();
   std::vector<Key> seen;
@@ -225,9 +229,9 @@ TEST(AnnounceList, RetiredCellOutlivesNotifierThatReadItsPosition) {
   // retracted, a notifier reads that position, then the query leaves and
   // ends its guard. C must stay out of the pool until the notifier's
   // guard ends too, and return after it.
-  NodeArena arena;
+  NodeStore nodes;
   Lists lists;
-  UpdateNode* n = make_node(arena, 5);
+  UpdateNode* n = make_node(nodes, 5);
   AnnCell* cell = nullptr;
   AnnCell* seen = nullptr;
   std::atomic<int> phase{0};
@@ -273,10 +277,10 @@ TEST(AnnounceList, RemovedCellIsUnreachableFromEitherHead) {
   // return the cell is off its list's chain, even while other threads'
   // passes race it. The guard spans remove and the walk, so the pool
   // cannot reissue the cell in between.
-  NodeArena arena;
-  Lists lists;
   constexpr int kThreads = 4;
   constexpr int kOps = 4000;
+  std::vector<NodeStore> nodes(kThreads);
+  Lists lists;
   constexpr int kLive = 4;  // announcements each thread keeps in the lists
   std::atomic<int> stranded{0};
   std::vector<std::thread> ts;
@@ -285,7 +289,7 @@ TEST(AnnounceList, RemovedCellIsUnreachableFromEitherHead) {
       Xoshiro256 rng(1000 + t);
       std::deque<UpdateNode*> live;
       for (int i = 0; i < kOps; ++i) {
-        UpdateNode* n = make_node(arena, static_cast<Key>(rng.bounded(16)));
+        UpdateNode* n = make_node(nodes[t], static_cast<Key>(rng.bounded(16)));
         lists.uall.insert(n);
         lists.ruall.insert(n);
         live.push_back(n);

@@ -19,7 +19,7 @@ TEST(Helping, InsertHelpsStalledPreActivationInsert) {
   LockFreeBinaryTrie t(64);
   TrieCore& core = t.core_for_test();
   UpdateNode* dummy = core.read_latest(5);
-  auto* stalled = core.arena().create<UpdateNode>(5, NodeType::kIns);
+  auto* stalled = InsNodePool::acquire(5);
   stalled->latest_next.store(dummy);
   ASSERT_TRUE(core.cas_latest(5, dummy, stalled));
   // The stalled insert is not linearized yet: search reports absent.
@@ -58,7 +58,7 @@ TEST(Helping, EraseHelpsStalledPreActivationDelete) {
   TrieCore& core = t.core_for_test();
   UpdateNode* i_node = core.find_latest(5);
   ASSERT_EQ(i_node->type, NodeType::kIns);
-  auto* stalled = core.arena().create<DelNode>(5, core.b());
+  auto* stalled = DelNodePool::acquire(5, core.b());
   stalled->latest_next.store(i_node);
   ASSERT_TRUE(core.cas_latest(5, i_node, stalled));
   EXPECT_TRUE(t.contains(5));  // not linearized yet

@@ -562,7 +562,7 @@ TEST(KeyspaceViewSoak, ChurnFootprintFlatU64Compressed) {
   cfg.seed = 407;
   const std::vector<SoakWindowSample> samples = churn_soak(v, cfg);
   ASSERT_EQ(samples.size(), 5u);
-  // Unlike the preallocated dense tries (constant arena ⇒ strict
+  // Unlike the dense tries (pooled nodes, no per-structure bytes ⇒ strict
   // soak_tail_is_flat), the compressed trie's live bytes TRACK the key
   // count, which random 50/50 churn walks up and down by a few percent.
   // The reclamation property is therefore: bounded by the live set (no

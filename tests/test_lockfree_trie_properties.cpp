@@ -1,7 +1,7 @@
 // Parameterized property sweeps of the lock-free trie: every combination
 // of (threads, universe, workload shape) must preserve the structural
 // invariants — quiescent exactness, interpreted-bit consistency, and
-// bounded arena growth.
+// bounded update-node growth.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/lockfree_trie.hpp"
+#include "reclaim/mem_stats.hpp"
 #include "relaxed/relaxed_trie.hpp"
 #include "set_test_util.hpp"
 #include "sync/random.hpp"
@@ -80,10 +81,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(TrieArenaGrowth, BoundedPerOperation) {
-  // Space claim sanity: arena growth is O(ops) with a modest constant,
-  // independent of the universe size. The arena holds only the latest
-  // dummies that inserts materialise; update, query and notify nodes and
-  // announcement cells come from the recycling pools.
+  // Space claim sanity: update-node acquisitions are O(ops), independent
+  // of the universe size. An insert acquires its INS node, at most one
+  // latest dummy for its key and at most one per ancestor that
+  // insert_binary_trie visits (b of them); an erase acquires one DEL node.
+  const MemStats::ClassSnapshot before =
+      MemStats::snapshot(MemClass::kUpdateNode);
   LockFreeBinaryTrie trie(Key{1} << 20);
   Xoshiro256 rng(9);
   constexpr int kOps = 20000;
@@ -95,15 +98,19 @@ TEST(TrieArenaGrowth, BoundedPerOperation) {
       trie.erase(k);
     }
   }
-  // Generous ceiling: < 4 KiB per op on average (deletes allocate two
-  // predecessor announcements plus notify nodes).
-  EXPECT_LT(trie.memory_reserved(), static_cast<std::size_t>(kOps) * 4096);
+  const MemStats::ClassSnapshot after =
+      MemStats::snapshot(MemClass::kUpdateNode);
+  EXPECT_LE(after.acquired - before.acquired,
+            static_cast<uint64_t>(kOps) * (trie.core_for_test().b() + 2));
 }
 
 // Reads and erases of absent keys touch only untouched (null) latest and
-// dNodePtr slots, which *are* the initial dummies: they allocate nothing.
+// dNodePtr slots, which *are* the initial dummies: they acquire no update
+// node.
 template <class Trie>
 void ExpectReadsReserveNothing() {
+  const MemStats::ClassSnapshot before =
+      MemStats::snapshot(MemClass::kUpdateNode);
   Trie trie(Key{1} << 20);
   Xoshiro256 rng(21);
   std::vector<Key> out;
@@ -118,7 +125,8 @@ void ExpectReadsReserveNothing() {
   }
   EXPECT_EQ(trie.predecessor(Key{1} << 20), kNoKey);
   EXPECT_EQ(trie.successor(-1), kNoKey);
-  EXPECT_EQ(trie.memory_reserved(), 0u);
+  EXPECT_EQ(MemStats::snapshot(MemClass::kUpdateNode).acquired,
+            before.acquired);
 }
 
 TEST(TrieArenaGrowth, ReadsReserveNothingLockFree) {
@@ -130,7 +138,8 @@ TEST(TrieArenaGrowth, ReadsReserveNothingRelaxed) {
 }
 
 TEST(TrieManyInstances, IndependentTriesDoNotInterfere) {
-  // Static per-thread arena cursors must not leak state across instances.
+  // Process-wide pools and per-thread magazines must not leak state
+  // across instances.
   for (int round = 0; round < 5; ++round) {
     LockFreeBinaryTrie a(256), b(256);
     std::thread ta([&] {

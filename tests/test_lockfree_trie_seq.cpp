@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "reclaim/mem_stats.hpp"
 #include "set_test_util.hpp"
 
 namespace lfbt {
@@ -141,9 +142,15 @@ TEST(LockFreeTrieSeq, EmbeddedPredecessorsRecordedOnDelete) {
 }
 
 TEST(LockFreeTrieSeq, MemoryGrowsWithOpsNotUniverse) {
+  // Update nodes grow with the ops, not the universe: per insert its INS
+  // node, its key's dummy and at most one dummy per ancestor.
+  const MemStats::ClassSnapshot before =
+      MemStats::snapshot(MemClass::kUpdateNode);
   LockFreeBinaryTrie big(Key{1} << 22);
   for (Key k = 0; k < 100; ++k) big.insert(k * 37);
-  EXPECT_LT(big.memory_reserved(), 16u << 20);
+  EXPECT_LE(MemStats::snapshot(MemClass::kUpdateNode).acquired -
+                before.acquired,
+            100u * (big.core_for_test().b() + 2));
 }
 
 }  // namespace

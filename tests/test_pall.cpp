@@ -3,14 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <thread>
 #include <vector>
 
 #include "ebr_test_util.hpp"
-#include "sync/arena.hpp"
 
 namespace lfbt {
 namespace {
+
+// Test-owned nodes: the P-ALL and the notify lists never free the nodes
+// pushed onto them, so each test keeps its nodes until it ends. A deque
+// keeps them in place as it grows.
+using QueryNodes = std::deque<PredecessorNode>;
+using NotifyNodes = std::deque<NotifyNode>;
 
 std::vector<Key> live_keys(PAll& pall) {
   std::vector<Key> out;
@@ -22,18 +28,18 @@ std::vector<Key> live_keys(PAll& pall) {
 }
 
 TEST(PAll, PushIsLifo) {
-  NodeArena arena;
+  QueryNodes nodes;
   PAll pall;
-  for (Key k : {1, 2, 3}) pall.push(arena.create<PredecessorNode>(k));
+  for (Key k : {1, 2, 3}) pall.push(&nodes.emplace_back(k));
   EXPECT_EQ(live_keys(pall), (std::vector<Key>{3, 2, 1}));
 }
 
 TEST(PAll, RemoveHidesFromLiveTraversal) {
-  NodeArena arena;
+  QueryNodes nodes;
   PAll pall;
-  auto* a = arena.create<PredecessorNode>(1);
-  auto* b = arena.create<PredecessorNode>(2);
-  auto* c = arena.create<PredecessorNode>(3);
+  PredecessorNode* a = &nodes.emplace_back(1);
+  PredecessorNode* b = &nodes.emplace_back(2);
+  PredecessorNode* c = &nodes.emplace_back(3);
   pall.push(a);
   pall.push(b);
   pall.push(c);
@@ -47,11 +53,11 @@ TEST(PAll, RemoveHidesFromLiveTraversal) {
 
 TEST(PAll, RawChainStaysTraversableThroughRemovedNodes) {
   // PredHelper's Q snapshot walks raw next pointers; a node removed after
-  // the snapshot must keep its chain intact (arena-managed memory).
-  NodeArena arena;
+  // the snapshot must keep its chain intact.
+  QueryNodes nodes;
   PAll pall;
-  auto* a = arena.create<PredecessorNode>(1);
-  auto* b = arena.create<PredecessorNode>(2);
+  PredecessorNode* a = &nodes.emplace_back(1);
+  PredecessorNode* b = &nodes.emplace_back(2);
   pall.push(a);
   pall.push(b);
   PredecessorNode* snap = pall.first_raw();  // == b
@@ -61,15 +67,15 @@ TEST(PAll, RawChainStaysTraversableThroughRemovedNodes) {
 }
 
 TEST(PAll, ConcurrentPushRemoveKeepsLiveSetConsistent) {
-  NodeArena arena;
-  PAll pall;
   constexpr int kThreads = 6;
   constexpr int kOps = 4000;
+  std::vector<QueryNodes> nodes(kThreads);
+  PAll pall;
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
     ts.emplace_back([&, t] {
       for (int i = 0; i < kOps; ++i) {
-        auto* p = arena.create<PredecessorNode>(t * kOps + i);
+        PredecessorNode* p = &nodes[t].emplace_back(t * kOps + i);
         pall.push(p);
         pall.remove(p);  // every announcement retired, like real ops
       }
@@ -80,47 +86,46 @@ TEST(PAll, ConcurrentPushRemoveKeepsLiveSetConsistent) {
 }
 
 TEST(NotifyList, PushPrependsNewestFirst) {
-  NodeArena arena;
-  auto* p = arena.create<PredecessorNode>(10);
+  PredecessorNode p(10);
+  NotifyNodes nodes;
   for (Key k : {1, 2, 3}) {
-    auto* n = arena.create<NotifyNode>();
+    NotifyNode* n = &nodes.emplace_back();
     n->key = k;
-    EXPECT_TRUE(NotifyList::push(p, n, [] { return true; }));
+    EXPECT_TRUE(NotifyList::push(&p, n, [] { return true; }));
   }
   std::vector<Key> seen;
-  for (NotifyNode* n = NotifyList::head(p); n != nullptr; n = n->next.load()) {
+  for (NotifyNode* n = NotifyList::head(&p); n != nullptr; n = n->next.load()) {
     seen.push_back(n->key);
   }
   EXPECT_EQ(seen, (std::vector<Key>{3, 2, 1}));
 }
 
 TEST(NotifyList, FailedValidationAbandonsPush) {
-  NodeArena arena;
-  auto* p = arena.create<PredecessorNode>(10);
-  auto* n = arena.create<NotifyNode>();
-  n->key = 5;
-  EXPECT_FALSE(NotifyList::push(p, n, [] { return false; }));
-  EXPECT_EQ(NotifyList::head(p), nullptr);
+  PredecessorNode p(10);
+  NotifyNode n;
+  n.key = 5;
+  EXPECT_FALSE(NotifyList::push(&p, &n, [] { return false; }));
+  EXPECT_EQ(NotifyList::head(&p), nullptr);
 }
 
 TEST(NotifyList, ConcurrentPushesAllLand) {
-  NodeArena arena;
-  auto* p = arena.create<PredecessorNode>(0);
+  PredecessorNode p(0);
   constexpr int kThreads = 6;
   constexpr int kPerThread = 2000;
+  std::vector<NotifyNodes> nodes(kThreads);
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&] {
+    ts.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        auto* n = arena.create<NotifyNode>();
+        NotifyNode* n = &nodes[t].emplace_back();
         n->key = i;
-        ASSERT_TRUE(NotifyList::push(p, n, [] { return true; }));
+        ASSERT_TRUE(NotifyList::push(&p, n, [] { return true; }));
       }
     });
   }
   for (auto& t : ts) t.join();
   int count = 0;
-  for (NotifyNode* n = NotifyList::head(p); n != nullptr; n = n->next.load()) ++count;
+  for (NotifyNode* n = NotifyList::head(&p); n != nullptr; n = n->next.load()) ++count;
   EXPECT_EQ(count, kThreads * kPerThread);
 }
 

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "reclaim/mem_stats.hpp"
 #include "set_test_util.hpp"
 
 namespace lfbt {
@@ -117,11 +118,16 @@ TEST(RelaxedTrieSeq, MaxQueryAtUniverseBoundary) {
 TEST(RelaxedTrieSeq, MemoryGrowsWithOpsNotUniverse) {
   // Lazy dummies: a sparse workload on a large universe must not allocate
   // per-key state for untouched keys.
+  const MemStats::ClassSnapshot before =
+      MemStats::snapshot(MemClass::kUpdateNode);
   RelaxedBinaryTrie big(Key{1} << 22);
   for (Key k = 0; k < 100; ++k) big.insert(k * 37);
   // Trie index arrays are O(u) pointers (unavoidable for the paper's
-  // structure); node arena growth must be tiny.
-  EXPECT_LT(big.memory_reserved(), 10u << 20);
+  // structure); update nodes grow with the ops: per insert its INS node,
+  // its key's dummy and at most one dummy per ancestor.
+  EXPECT_LE(MemStats::snapshot(MemClass::kUpdateNode).acquired -
+                before.acquired,
+            100u * (big.core_for_test().b() + 2));
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ TEST(ShardedTrieGeometry, WidthAndShardCount) {
   EXPECT_EQ(c.shard_width(), 1);
   EXPECT_EQ(c.shard_count(), 4);
   // Shard counts above kMaxShards are clamped (wider shards instead);
-  // protects the arena's per-thread cursor capacity.
+  // the cap sizes the per-shard epoch arrays of walks and scans.
   ShardedTrie d(Key{1} << 16, 4096);
   EXPECT_EQ(d.shard_count(), ShardedTrie::kMaxShards);
   EXPECT_EQ(d.shard_width(), (Key{1} << 16) / ShardedTrie::kMaxShards);

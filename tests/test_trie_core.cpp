@@ -1,20 +1,23 @@
 // White-box tests of TrieCore: index arithmetic, lazy dummies, latest-list
 // helpers, interpreted-bit transitions, and the InsertBinaryTrie /
-// DeleteBinaryTrie stop/boundary protocol.
+// DeleteBinaryTrie stop/boundary protocol. Update nodes come from the
+// tries' pools; MemStats' update-node class counts them.
 #include "relaxed/trie_core.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "reclaim/mem_stats.hpp"
+#include "sync/ebr.hpp"
+
 namespace lfbt {
 namespace {
 
-class TrieCoreTest : public ::testing::Test {
- protected:
-  NodeArena arena_;
-};
-
-TEST_F(TrieCoreTest, IndexArithmetic) {
-  TrieCore core(16, arena_);  // b = 4
+TEST(TrieCoreTest, IndexArithmetic) {
+  TrieCore core(16);  // b = 4
   EXPECT_EQ(core.b(), 4u);
   EXPECT_EQ(core.leaf_base(), 16u);
   EXPECT_EQ(core.leaf(0), 16u);
@@ -29,25 +32,28 @@ TEST_F(TrieCoreTest, IndexArithmetic) {
   EXPECT_FALSE(core.is_leaf(15));
 }
 
-TEST_F(TrieCoreTest, NonPowerOfTwoUniverseRoundsUp) {
-  TrieCore core(100, arena_);
+TEST(TrieCoreTest, NonPowerOfTwoUniverseRoundsUp) {
+  TrieCore core(100);
   EXPECT_EQ(core.b(), 7u);  // 2^7 = 128 >= 100
   EXPECT_EQ(core.leaf_base(), 128u);
 }
 
-TEST_F(TrieCoreTest, LazyDummiesMakeAllBitsZeroInitially) {
-  TrieCore core(64, arena_);
+TEST(TrieCoreTest, LazyDummiesMakeAllBitsZeroInitially) {
+  const MemStats::ClassSnapshot before =
+      MemStats::snapshot(MemClass::kUpdateNode);
+  TrieCore core(64);
   for (uint64_t t = 1; t < 128; ++t) {
     EXPECT_FALSE(core.interpreted_bit(t)) << t;
   }
   for (Key y = 0; y <= 64; ++y) EXPECT_EQ(core.relaxed_predecessor(y), kNoKey);
   for (Key y = -1; y < 64; ++y) EXPECT_EQ(core.relaxed_successor(y), kNoKey);
   // Null slots are the dummies: reading them materialises nothing.
-  EXPECT_EQ(arena_.bytes_reserved(), 0u);
+  EXPECT_EQ(MemStats::snapshot(MemClass::kUpdateNode).acquired,
+            before.acquired);
 }
 
-TEST_F(TrieCoreTest, ReadLatestInstallsOneDummyPerKey) {
-  TrieCore core(64, arena_);
+TEST(TrieCoreTest, ReadLatestInstallsOneDummyPerKey) {
+  TrieCore core(64);
   UpdateNode* a = core.read_latest(7);
   UpdateNode* b = core.read_latest(7);
   EXPECT_EQ(a, b);
@@ -56,10 +62,39 @@ TEST_F(TrieCoreTest, ReadLatestInstallsOneDummyPerKey) {
   EXPECT_EQ(a->status.load(), UpdateNode::kActive);
 }
 
-TEST_F(TrieCoreTest, FindLatestSkipsInactiveHead) {
-  TrieCore core(64, arena_);
+TEST(TrieCoreTest, ReadLatestRaceInstallsExactlyOneDummy) {
+  // Every racer materialises a dummy; one CAS from null wins and the
+  // losers hand theirs back to the pool, so one update node stays in use.
+  ebr::drain_unsafe();
+  const MemStats::ClassSnapshot before =
+      MemStats::snapshot(MemClass::kUpdateNode);
+  TrieCore core(64);
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<UpdateNode*> seen(kThreads, nullptr);
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      ebr::Guard g;
+      seen[t] = core.read_latest(9);
+    });
+  }
+  for (auto& th : ts) th.join();
+  for (UpdateNode* n : seen) EXPECT_EQ(n, seen[0]);
+  EXPECT_EQ(core.peek_latest(9), seen[0]);
+  ebr::drain_unsafe();
+  const MemStats::ClassSnapshot after =
+      MemStats::snapshot(MemClass::kUpdateNode);
+  EXPECT_EQ(after.in_use(), before.in_use() + 1);
+}
+
+TEST(TrieCoreTest, FindLatestSkipsInactiveHead) {
+  TrieCore core(64);
   UpdateNode* dummy = core.read_latest(3);
-  auto* inactive = arena_.create<UpdateNode>(3, NodeType::kIns);
+  auto* inactive = InsNodePool::acquire(3);
   inactive->latest_next.store(dummy);
   ASSERT_TRUE(core.cas_latest(3, dummy, inactive));
   // Head is inactive: FindLatest must return the activated predecessor.
@@ -76,10 +111,10 @@ TEST_F(TrieCoreTest, FindLatestSkipsInactiveHead) {
   EXPECT_EQ(core.find_latest(3), inactive);
 }
 
-TEST_F(TrieCoreTest, InsertBinaryTrieRaisesWholePath) {
-  TrieCore core(16, arena_);
+TEST(TrieCoreTest, InsertBinaryTrieRaisesWholePath) {
+  TrieCore core(16);
   UpdateNode* dummy = core.read_latest(5);
-  auto* ins = arena_.create<UpdateNode>(5, NodeType::kIns);
+  auto* ins = InsNodePool::acquire(5);
   ins->status.store(UpdateNode::kActive);
   ASSERT_TRUE(core.cas_latest(5, dummy, ins));
   core.insert_binary_trie(ins);
@@ -91,10 +126,10 @@ TEST_F(TrieCoreTest, InsertBinaryTrieRaisesWholePath) {
   EXPECT_FALSE(core.interpreted_bit(3));  // right half of the trie
 }
 
-TEST_F(TrieCoreTest, DeleteBinaryTrieLowersUntilSiblingSet) {
-  TrieCore core(16, arena_);
+TEST(TrieCoreTest, DeleteBinaryTrieLowersUntilSiblingSet) {
+  TrieCore core(16);
   auto add = [&](Key k) {
-    auto* n = arena_.create<UpdateNode>(k, NodeType::kIns);
+    auto* n = InsNodePool::acquire(k);
     n->status.store(UpdateNode::kActive);
     ASSERT_TRUE(core.cas_latest(k, core.read_latest(k), n));
     core.insert_binary_trie(n);
@@ -102,7 +137,7 @@ TEST_F(TrieCoreTest, DeleteBinaryTrieLowersUntilSiblingSet) {
   add(5);
   add(7);  // shares the depth-2 ancestor with 5
   auto del = [&](Key k) {
-    auto* d = arena_.create<DelNode>(k, core.b());
+    auto* d = DelNodePool::acquire(k, core.b());
     d->status.store(UpdateNode::kActive);
     d->latest_next.store(core.read_latest(k));
     ASSERT_TRUE(core.cas_latest(k, core.read_latest(k), d));
@@ -121,13 +156,13 @@ TEST_F(TrieCoreTest, DeleteBinaryTrieLowersUntilSiblingSet) {
   }
 }
 
-TEST_F(TrieCoreTest, StopFlagHaltsDeleteBinaryTrie) {
-  TrieCore core(16, arena_);
-  auto* ins = arena_.create<UpdateNode>(5, NodeType::kIns);
+TEST(TrieCoreTest, StopFlagHaltsDeleteBinaryTrie) {
+  TrieCore core(16);
+  auto* ins = InsNodePool::acquire(5);
   ins->status.store(UpdateNode::kActive);
   ASSERT_TRUE(core.cas_latest(5, core.read_latest(5), ins));
   core.insert_binary_trie(ins);
-  auto* d = arena_.create<DelNode>(5, core.b());
+  auto* d = DelNodePool::acquire(5, core.b());
   d->status.store(UpdateNode::kActive);
   d->latest_next.store(ins);
   ASSERT_TRUE(core.cas_latest(5, ins, d));
@@ -139,17 +174,17 @@ TEST_F(TrieCoreTest, StopFlagHaltsDeleteBinaryTrie) {
   EXPECT_FALSE(core.interpreted_bit(core.leaf(5)));
 }
 
-TEST_F(TrieCoreTest, MinWriteToLower1BoundaryRevivesBit) {
+TEST(TrieCoreTest, MinWriteToLower1BoundaryRevivesBit) {
   // Simulates InsertBinaryTrie's l.46 helping path: a DEL node that
   // claimed internal nodes has its lower1Boundary min-written, which
   // flips those bits back to 1 without touching dNodePtr.
-  TrieCore core(16, arena_);
+  TrieCore core(16);
   auto add_then_del = [&](Key k) -> DelNode* {
-    auto* n = arena_.create<UpdateNode>(k, NodeType::kIns);
+    auto* n = InsNodePool::acquire(k);
     n->status.store(UpdateNode::kActive);
     EXPECT_TRUE(core.cas_latest(k, core.read_latest(k), n));
     core.insert_binary_trie(n);
-    auto* dd = arena_.create<DelNode>(k, core.b());
+    auto* dd = DelNodePool::acquire(k, core.b());
     dd->status.store(UpdateNode::kActive);
     dd->latest_next.store(n);
     EXPECT_TRUE(core.cas_latest(k, n, dd));
@@ -167,10 +202,10 @@ TEST_F(TrieCoreTest, MinWriteToLower1BoundaryRevivesBit) {
   EXPECT_FALSE(core.interpreted_bit(core.leaf(5)));
 }
 
-TEST_F(TrieCoreTest, RelaxedPredecessorOnCoreDirectly) {
-  TrieCore core(16, arena_);
+TEST(TrieCoreTest, RelaxedPredecessorOnCoreDirectly) {
+  TrieCore core(16);
   auto add = [&](Key k) {
-    auto* n = arena_.create<UpdateNode>(k, NodeType::kIns);
+    auto* n = InsNodePool::acquire(k);
     n->status.store(UpdateNode::kActive);
     ASSERT_TRUE(core.cas_latest(k, core.read_latest(k), n));
     core.insert_binary_trie(n);
